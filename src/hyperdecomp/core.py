@@ -152,11 +152,9 @@ class DecomposedGraph:
 
     def degrees(self) -> np.ndarray:
         """Distinct-neighbor count per node."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        if self.num_edges:
-            np.add.at(deg, self.edge_array[:, 0], 1)
-            np.add.at(deg, self.edge_array[:, 1], 1)
-        return deg
+        return np.bincount(
+            self.edge_array.ravel(), minlength=self.num_nodes
+        ).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,10 +31,15 @@ __all__ = [
     "decompose_all",
     "NODE_LEVEL_CAP",
     "HIGHER_LEVEL_CAP",
+    "MAX_PACKED_SUBSETS",
 ]
 
 NODE_LEVEL_CAP = 25
 HIGHER_LEVEL_CAP = 7
+
+# Pair keys pack two subset indices as (lo << 32) | hi in an int64, so the
+# subset index must stay below 2**31 for lo to keep clear of the sign bit.
+MAX_PACKED_SUBSETS = 2**31
 
 # Cache of upper-triangle index pairs, keyed by clique size.
 _TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -101,6 +106,11 @@ def _collect(
             hi = np.maximum(a, b)
             chunks.append((lo << 32) | hi)
 
+    if len(index) >= MAX_PACKED_SUBSETS:
+        raise ValidationError(
+            f"level {k}: {len(index)} distinct subsets reach the pair-key "
+            f"packing limit of {MAX_PACKED_SUBSETS}"
+        )
     if chunks:
         enc = np.concatenate(chunks)
         if with_counts:

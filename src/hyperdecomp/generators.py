@@ -152,6 +152,10 @@ def learn_params(H: Hypergraph) -> GenParams:
     )
 
 
+# Largest node id a GroupDegreeIndex row (uint32) can hold.
+_ROW_ID_MAX = 2**32 - 1
+
+
 class GroupDegreeIndex:
     """Degree-proportional sampler over node groups of bounded size.
 
@@ -168,6 +172,10 @@ class GroupDegreeIndex:
         self._len: dict[int, int] = {j: 0 for j in range(1, cap + 1)}
 
     def add_hyperedge(self, members: Sequence[int]) -> None:
+        if members and max(members) > _ROW_ID_MAX:
+            raise ValidationError(
+                f"node id {max(members)} does not fit the index's uint32 rows"
+            )
         for j in range(1, min(len(members), self.cap) + 1):
             rows = np.array(list(combinations(members, j)), dtype=np.uint32)
             used = self._len[j]

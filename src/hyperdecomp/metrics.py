@@ -9,13 +9,16 @@ sampling is seed-driven.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .core import DecomposedGraph, ValidationError
+
+# scipy is imported inside the functions that need it, so importing this
+# module (and with it the CLI) stays cheap for commands that never measure.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "MetricError",
@@ -29,11 +32,16 @@ __all__ = [
     "SingularSpectrum",
     "singular_values",
     "GIANT_RATIO",
+    "DENSE_FALLBACK_MAX_BYTES",
 ]
 
 # A largest component at least this many times the second-largest counts
 # as giant.
 GIANT_RATIO = 70.0
+
+# Largest dense float64 adjacency the eigensolver fallback may allocate
+# (2 GiB, i.e. at most 16,384 nodes).
+DENSE_FALLBACK_MAX_BYTES = 2 * 1024**3
 
 
 class MetricError(ValueError):
@@ -70,6 +78,8 @@ def connected_components(G: DecomposedGraph) -> ComponentReport:
     n = G.num_nodes
     if n == 0:
         return ComponentReport(sizes=(), largest_frac=0.0, second_frac=0.0, is_giant=False)
+    from scipy.sparse import csgraph
+
     _, labels = csgraph.connected_components(G.adjacency_csr(), directed=False)
     sizes = np.sort(np.bincount(labels))[::-1]
     largest_frac = sizes[0] / n
@@ -250,7 +260,8 @@ def singular_values(
     For the symmetric adjacency these are eigenvalue magnitudes, computed
     with restarted Lanczos iteration; requests covering essentially the
     whole spectrum (m > n - 2) fall back to a dense eigensolver, which the
-    iterative machinery cannot serve.
+    iterative machinery cannot serve. That fallback raises MetricError
+    instead of allocating a dense matrix above DENSE_FALLBACK_MAX_BYTES.
     """
     n = G.num_nodes
     if m is None:
@@ -263,14 +274,23 @@ def singular_values(
     if G.num_edges == 0:
         return SingularSpectrum(values=(0.0,) * m, requested=m)
 
+    dense = m > n - 2
+    if dense and n * n * 8 > DENSE_FALLBACK_MAX_BYTES:
+        raise MetricError(
+            f"dense eigensolver fallback for m={m} on n={n} nodes needs "
+            f"{n * n * 8} bytes, above the {DENSE_FALLBACK_MAX_BYTES}-byte "
+            "limit; request m <= n - 2"
+        )
     adj = G.adjacency_csr().astype(np.float64)
-    if m > n - 2:
+    if dense:
         eigs = np.linalg.eigvalsh(adj.toarray())
     else:
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
         # Deterministic start vector keeps repeated runs identical.
         v0 = np.random.default_rng(0x5EED).standard_normal(n)
         try:
-            eigs = spla.eigsh(
+            eigs = eigsh(
                 adj,
                 k=m,
                 which="LM",
@@ -279,7 +299,7 @@ def singular_values(
                 v0=v0,
                 return_eigenvectors=False,
             )
-        except spla.ArpackNoConvergence as exc:
+        except ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"Lanczos iteration failed to converge for k={m}"
             ) from exc

@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import ValidationError
+
+# scipy.optimize and mpmath are imported inside the truncated power-law fit,
+# the only code that needs them, so importing this module stays cheap.
 
 __all__ = [
     "FitError",
@@ -121,6 +122,8 @@ def _fit_lognormal(x: np.ndarray, xmin: float) -> FitResult:
 
 def _tpl_log_normalizer(alpha: float, lam: float, xmin: float) -> float:
     """log of lam^(alpha-1) * GammaUpper(1 - alpha, lam * xmin)."""
+    import mpmath
+
     z = mpmath.mpf(lam) * mpmath.mpf(xmin)
     gamma = mpmath.gammainc(mpmath.mpf(1.0 - alpha), z, mpmath.inf)
     if not mpmath.isfinite(gamma) or gamma <= 0:
@@ -129,6 +132,8 @@ def _tpl_log_normalizer(alpha: float, lam: float, xmin: float) -> float:
 
 
 def _fit_truncated_powerlaw(x: np.ndarray, xmin: float) -> FitResult:
+    from scipy.optimize import minimize
+
     n = x.size
     logsum = float(np.log(x).sum())
     xsum = float(x.sum())

@@ -139,3 +139,33 @@ def test_canonicalize_idempotent_and_size_preserving(raw):
     assert H.num_edges == len(raw)
     for e, r in zip(H.edges, raw):
         assert set(e.members) == set(r)
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=25))
+    pairs = (
+        draw(
+            st.sets(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n - 1),
+                    st.integers(min_value=0, max_value=n - 1),
+                ).filter(lambda p: p[0] < p[1]),
+                max_size=60,
+            )
+        )
+        if n >= 2
+        else set()
+    )
+    arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return DecomposedGraph(level=1, nodes=tuple((i,) for i in range(n)), edge_array=arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_graphs())
+def test_degrees_equal_adjacency_row_sums(G):
+    deg = G.degrees()
+    assert deg.dtype == np.int64
+    assert deg.shape == (G.num_nodes,)
+    row_sums = np.asarray(G.adjacency_csr().sum(axis=1)).ravel()
+    assert deg.tolist() == row_sums.tolist()

@@ -1,5 +1,6 @@
 """Decomposition against exhaustive subset-pair and containment oracles."""
 
+import importlib
 from itertools import combinations
 from math import comb
 
@@ -18,6 +19,9 @@ from hyperdecomp import (
 )
 
 from conftest import random_hypergraph
+
+# The package re-exports the decompose() function under the module's name.
+decompose_mod = importlib.import_module("hyperdecomp.decompose")
 
 
 def oracle_unweighted(member_tuples, k, cap):
@@ -211,3 +215,16 @@ def test_empty_and_degenerate_inputs():
     assert G2.num_nodes == 0 and G2.num_edges == 0
     with pytest.raises(ValidationError):
         decompose_weighted(H, 0)
+
+
+def test_subset_index_limit_raises_before_packing_overflows(monkeypatch):
+    # Four level-1 subsets; the limit is lowered so the guard is reachable.
+    H = canonicalize([[0, 1, 2, 3]])
+    monkeypatch.setattr(decompose_mod, "MAX_PACKED_SUBSETS", 5)
+    assert decompose(H, DecomposeConfig.for_level(1)).num_nodes == 4
+    assert decompose_weighted(H, 1).base.num_nodes == 4
+    monkeypatch.setattr(decompose_mod, "MAX_PACKED_SUBSETS", 4)
+    with pytest.raises(ValidationError, match="packing limit"):
+        decompose(H, DecomposeConfig.for_level(1))
+    with pytest.raises(ValidationError, match="packing limit"):
+        decompose_weighted(H, 1)

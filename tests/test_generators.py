@@ -124,6 +124,17 @@ def test_index_errors():
         index.sample(2, random.Random(0))
 
 
+def test_index_rejects_ids_beyond_uint32_rows():
+    top = 2**32 - 1
+    index = GroupDegreeIndex(cap=2)
+    index.add_hyperedge((0, top))
+    assert index.sample(2, random.Random(0)) == (0, top)
+    for members in ((0, top + 1), (np.int64(0), np.int64(top + 1))):
+        with pytest.raises(ValidationError, match="uint32"):
+            index.add_hyperedge(members)
+    assert index.count(1) == 2 and index.count(2) == 1
+
+
 # --- attachment generators -------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from hyperdecomp import (
     transitivity,
 )
 from hyperdecomp.core import DecomposedGraph
+from hyperdecomp import metrics as metrics_mod
 from hyperdecomp.metrics import GIANT_RATIO
 
 
@@ -292,3 +293,38 @@ def test_convergence_error_surfaces():
     G = graph_from_pairs([(i, i + 1) for i in range(1999)])
     with pytest.raises(ConvergenceError):
         singular_values(G, m=50, rel_tol=1e-14, max_iter=1)
+
+
+def path_graph(n):
+    u = np.arange(n - 1, dtype=np.int64)
+    return DecomposedGraph(
+        level=1,
+        nodes=tuple((i,) for i in range(n)),
+        edge_array=np.stack([u, u + 1], axis=1),
+    )
+
+
+def test_dense_fallback_refuses_matrices_over_two_gib(monkeypatch):
+    n = 16_385
+    G = path_graph(n)
+
+    def no_adjacency(self):
+        raise AssertionError("the guard must fire before any matrix is built")
+
+    monkeypatch.setattr(DecomposedGraph, "adjacency_csr", no_adjacency)
+    with pytest.raises(MetricError) as info:
+        singular_values(G, m=n)
+    assert f"n={n}" in str(info.value)
+    assert str(n * n * 8) in str(info.value)
+
+
+def test_dense_fallback_limit_is_inclusive(monkeypatch):
+    G = path_graph(6)
+    need = 6 * 6 * 8
+    monkeypatch.setattr(metrics_mod, "DENSE_FALLBACK_MAX_BYTES", need)
+    assert len(singular_values(G, m=6).values) == 6
+    monkeypatch.setattr(metrics_mod, "DENSE_FALLBACK_MAX_BYTES", need - 1)
+    with pytest.raises(MetricError, match=f"{need} bytes"):
+        singular_values(G, m=6)
+    # The iterative path allocates no dense matrix and is not limited.
+    assert len(singular_values(G, m=4).values) == 4
