@@ -49,13 +49,6 @@ class _OutputTracker:
     def __init__(self) -> None:
         self.paths: list[str] = []
 
-    def write_text(self, path: str, content: str) -> None:
-        def writer(tmp: str) -> None:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(content)
-
-        self.write_with(path, writer)
-
     def write_with(self, path: str, writer) -> None:
         """Run a path-taking writer against a temp file, then rename."""
         directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -126,14 +119,7 @@ def cmd_decompose(args) -> int:
         else:
             cfg = DecomposeConfig.for_level(args.level, args.max_edge_size)
             base = decompose(H, cfg)
-            lines = [f"# level={base.level}\n"]
-            for i in range(base.edge_array.shape[0]):
-                u = base.nodes[int(base.edge_array[i, 0])]
-                v = base.nodes[int(base.edge_array[i, 1])]
-                lines.append(
-                    "-".join(map(str, u)) + " " + "-".join(map(str, v)) + "\n"
-                )
-            tracker.write_text(args.out, "".join(lines))
+            tracker.write_with(args.out, lambda p: hio.write_decomposed_graph(base, p))
     print(f"level={base.level} nodes={base.num_nodes} edges={base.num_edges}")
     return 0
 

@@ -30,6 +30,7 @@ __all__ = [
     "read_line_format",
     "write_line_format",
     "read_weighted_graph",
+    "write_decomposed_graph",
     "write_weighted_graph",
     "write_report",
     "read_report",
@@ -165,23 +166,54 @@ def _parse_subset(tok: str, path: str, lineno: int) -> KSubset:
     return parts
 
 
-def write_weighted_graph(G: WeightedDecomposedGraph, path: str) -> None:
-    """Level header, one weighted edge per line, then self-loop lines."""
-    base = G.base
+def _write_edges(
+    base: DecomposedGraph,
+    path: str,
+    weights: np.ndarray | None = None,
+    self_loops: Mapping[int, int] | None = None,
+) -> None:
+    """Level header, one edge per line (with its weight if given), then self-loops."""
+    labels = [_subset_str(s) for s in base.nodes]
+    us, vs = base.edge_array[:, 0].tolist(), base.edge_array[:, 1].tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level={base.level}\n")
-        for i in range(base.edge_array.shape[0]):
-            u = base.nodes[int(base.edge_array[i, 0])]
-            v = base.nodes[int(base.edge_array[i, 1])]
-            fh.write(f"{_subset_str(u)} {_subset_str(v)} {int(G.weights[i])}\n")
-        for node_idx, count in sorted(G.self_loops.items()):
-            fh.write(f"selfloop {_subset_str(base.nodes[node_idx])} {count}\n")
+        if weights is None:
+            fh.writelines(f"{labels[u]} {labels[v]}\n" for u, v in zip(us, vs))
+        else:
+            ws = weights.tolist()
+            fh.writelines(f"{labels[u]} {labels[v]} {w}\n" for u, v, w in zip(us, vs, ws))
+        for node_idx, count in sorted((self_loops or {}).items()):
+            fh.write(f"selfloop {labels[node_idx]} {count}\n")
+
+
+def write_decomposed_graph(G: DecomposedGraph, path: str) -> None:
+    """Level header, then one unweighted edge per line."""
+    _write_edges(G, path)
+
+
+def write_weighted_graph(G: WeightedDecomposedGraph, path: str) -> None:
+    """Level header, one weighted edge per line, then self-loop lines."""
+    _write_edges(G.base, path, G.weights, G.self_loops)
 
 
 def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
+    """Parse a file written by `write_weighted_graph`; errors carry path:line."""
     level: int | None = None
-    edges: list[tuple[KSubset, KSubset, int]] = []
-    loops: list[tuple[KSubset, int]] = []
+    # Each distinct subset token is parsed once; ids follow first appearance.
+    token_ids: dict[str, int] = {}
+    subsets: list[KSubset] = []
+    first_lines: list[int] = []
+    edges: list[tuple[int, int, int, int]] = []  # (u id, v id, weight, line)
+    loops: list[tuple[int, int, int]] = []  # (subset id, count, line)
+
+    def subset_id(tok: str, lineno: int) -> int:
+        i = token_ids.get(tok)
+        if i is None:
+            i = token_ids[tok] = len(subsets)
+            subsets.append(_parse_subset(tok, path, lineno))
+            first_lines.append(lineno)
+        return i
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             toks = line.split()
@@ -194,68 +226,63 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
                             level = int(tok[6:])
                         except ValueError:
                             raise FormatError(path, lineno, f"bad level {tok!r}")
+                        if level < 1:
+                            raise FormatError(path, lineno, f"level {level} < 1")
                 continue
             if toks[0] == "selfloop":
                 if len(toks) != 3:
                     raise FormatError(path, lineno, "selfloop lines take subset and count")
-                subset = _parse_subset(toks[1], path, lineno)
+                s = subset_id(toks[1], lineno)
                 try:
                     count = int(toks[2])
                 except ValueError:
                     raise FormatError(path, lineno, f"bad count {toks[2]!r}")
-                loops.append((subset, count))
+                loops.append((s, count, lineno))
                 continue
             if len(toks) != 3:
                 raise FormatError(path, lineno, "edge lines take two subsets and a weight")
-            u = _parse_subset(toks[0], path, lineno)
-            v = _parse_subset(toks[1], path, lineno)
+            u = subset_id(toks[0], lineno)
+            v = subset_id(toks[1], lineno)
             try:
                 w = int(toks[2])
             except ValueError:
                 raise FormatError(path, lineno, f"bad weight {toks[2]!r}")
             if w < 1:
                 raise FormatError(path, lineno, f"weight must be positive, got {w}")
-            edges.append((u, v, w))
+            edges.append((u, v, w, lineno))
     if level is None:
         raise FormatError(path, 1, "missing '# level=<k>' header")
 
-    subsets: set[KSubset] = set()
-    for u, v, _ in edges:
-        subsets.add(u)
-        subsets.add(v)
-    for s, _ in loops:
-        subsets.add(s)
-    for s in subsets:
+    for s, lineno in zip(subsets, first_lines):
         if len(s) != level:
-            raise FormatError(path, 1, f"subset {s} does not match level {level}")
-    nodes = tuple(sorted(subsets))
+            raise FormatError(path, lineno, f"subset {s} does not match level {level}")
+    nodes = tuple(sorted(set(subsets)))
     index = {s: i for i, s in enumerate(nodes)}
+    node_of = np.array([index[s] for s in subsets], dtype=np.int64)
 
-    rows = []
-    weights = []
-    for u, v, w in edges:
-        iu, iv = index[u], index[v]
-        if iu == iv:
-            raise FormatError(path, 1, f"self pair {u} listed as an edge")
-        rows.append((min(iu, iv), max(iu, iv)))
-        weights.append(w)
-    order = sorted(range(len(rows)), key=lambda i: rows[i])
-    if len(set(rows)) != len(rows):
-        raise FormatError(path, 1, "duplicate edge listed")
-    edge_array = (
-        np.array([rows[i] for i in order], dtype=np.int64).reshape(-1, 2)
-        if rows
-        else np.empty((0, 2), dtype=np.int64)
-    )
-    w_arr = np.array([weights[i] for i in order], dtype=np.int64)
+    table = np.array(edges, dtype=np.int64).reshape(-1, 4)
+    u, v, lines = node_of[table[:, 0]], node_of[table[:, 1]], table[:, 3]
+    same = np.flatnonzero(u == v)
+    if same.size:
+        i = int(same[0])
+        raise FormatError(path, int(lines[i]), f"self pair {nodes[u[i]]} listed as an edge")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((lines, hi, lo))
+    lo, hi, lines = lo[order], hi[order], lines[order]
+    repeat = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+    if repeat.size:
+        raise FormatError(path, int(lines[repeat + 1].min()), "duplicate edge listed")
+    edge_array = np.stack([lo, hi], axis=1)
+    w_arr = table[order, 2]
     base = DecomposedGraph(level=level, nodes=nodes, edge_array=edge_array)
     self_loops: dict[int, int] = {}
-    for s, count in loops:
+    for s, count, lineno in loops:
         if level != 1:
-            raise FormatError(path, 1, "self-loops only belong to level 1")
+            raise FormatError(path, lineno, "self-loops only belong to level 1")
         if count < 1:
-            raise FormatError(path, 1, f"self-loop count must be positive, got {count}")
-        self_loops[index[s]] = self_loops.get(index[s], 0) + count
+            raise FormatError(path, lineno, f"self-loop count {count} must be positive")
+        node = int(node_of[s])
+        self_loops[node] = self_loops.get(node, 0) + count
     return WeightedDecomposedGraph(base=base, weights=w_arr, self_loops=self_loops)
 
 

@@ -1,18 +1,21 @@
 """Lossless reconstruction of a hypergraph from its weighted decompositions.
 
-Works top-down over hyperedge sizes. At level k-1, after subtracting the
-clique contributions of every already-recovered larger hyperedge, any edge
-with positive residual weight joins two (k-1)-subsets whose union is a
-size-k hyperedge; the residual weight is that hyperedge's multiplicity.
-Size-1 hyperedges come from the level-1 self-loop counts.
+Works top-down over hyperedge sizes. At level k = size - 1 the residual is
+the given weights minus `decompose_weighted` of the recovered larger
+hyperedges. Each positive-residual edge joins two k-subsets whose union is
+a size-(k+1) hyperedge, and the residual is that hyperedge's multiplicity.
+Size-1 hyperedges come from the level-1 self-loop counts. Output is by size
+descending, lexicographic within a size, then singletons by node.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Mapping
 
+import numpy as np
+
 from .core import Hyperedge, Hypergraph, KSubset, ValidationError, WeightedDecomposedGraph
+from .decompose import decompose_weighted
 
 __all__ = ["RecoveryError", "recover"]
 
@@ -25,39 +28,65 @@ class RecoveryError(ValueError):
         self.level = level
 
 
-_PairKey = tuple[KSubset, KSubset]
+def _edge(G: WeightedDecomposedGraph, row: int) -> tuple[KSubset, KSubset]:
+    u, v = G.base.edge_array[row]
+    return G.base.nodes[int(u)], G.base.nodes[int(v)]
 
 
-def _pair_key(a: KSubset, b: KSubset) -> _PairKey:
-    return (a, b) if a <= b else (b, a)
+def _subtract(G: WeightedDecomposedGraph, S: WeightedDecomposedGraph) -> np.ndarray:
+    """G's weights minus those of S, a decomposition at the same level."""
+    N, ends = G.base.num_nodes, G.base.edge_array
+    keys = ends[:, 0] * N + ends[:, 1]
+    if np.any(ends[:, 0] >= ends[:, 1]) or np.any(np.diff(keys) <= 0):
+        raise ValidationError(f"level {G.level}: edge rows must be distinct, sorted, u < v")
+    # Both node lists are sorted, so the node map is monotone and keeps u < v.
+    index = dict(zip(G.base.nodes, range(N)))
+    pos = np.fromiter((index.get(s, -1) for s in S.base.nodes), np.int64, S.base.num_nodes)
+    u, v = pos[S.base.edge_array[:, 0]], pos[S.base.edge_array[:, 1]]
+    at = np.searchsorted(keys, u * N + v)
+    # Edges G lacks point at one extra slot of weight 0, which then underflows.
+    at[(u < 0) | (v < 0) | (np.append(keys, -1)[at] != u * N + v)] = len(keys)
+    left = np.append(G.weights, 0)
+    left[at] -= S.weights
+    bad = np.flatnonzero(left[at] < 0)
+    if bad.size:
+        i, row = int(bad[0]), int(at[bad[0]])
+        held, need = (int(G.weights[row]) if row < len(keys) else 0), int(S.weights[i])
+        raise RecoveryError(
+            G.level, f"edge {_edge(S, i)} has weight {held}; larger hyperedges need {need}"
+        )
+    return left[:-1]
 
 
-def _clique_pairs(members: KSubset, k: int):
-    """Pairs of k-subsets of one hyperedge, i.e. its clique at level k."""
-    return combinations(combinations(members, k), 2)
-
-
-def _residual_weights(
-    G: WeightedDecomposedGraph, recovered: list[tuple[KSubset, int]], level: int
-) -> dict[_PairKey, int]:
-    nodes = G.base.nodes
-    weights: dict[_PairKey, int] = {}
-    edge_array = G.base.edge_array
-    for i in range(edge_array.shape[0]):
-        u, v = int(edge_array[i, 0]), int(edge_array[i, 1])
-        weights[_pair_key(nodes[u], nodes[v])] = int(G.weights[i])
-    for members, mult in recovered:
-        for a, b in _clique_pairs(members, level):
-            key = _pair_key(a, b)
-            left = weights.get(key, 0) - mult
-            if left < 0:
-                raise RecoveryError(
-                    level,
-                    f"edge {key} underflows while removing recovered hyperedge "
-                    f"{members} (multiplicity {mult})",
-                )
-            weights[key] = left
-    return weights
+def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[list[KSubset], list[int]]:
+    """Size-(k+1) hyperedges and multiplicities that consume the residual."""
+    size, nodes = G.level + 1, G.base.nodes
+    rows = np.flatnonzero(resid)
+    pairs = G.base.edge_array[rows].tolist()
+    both = np.array([nodes[u] + nodes[v] for u, v in pairs], dtype=np.int64)
+    both = np.sort(both.reshape(-1, 2 * G.level), axis=1)
+    fresh = np.ones(both.shape, dtype=bool)
+    fresh[:, 1:] = both[:, 1:] != both[:, :-1]
+    wrong = np.flatnonzero(fresh.sum(axis=1) != size)
+    if wrong.size:
+        edge, got = _edge(G, int(rows[wrong[0]])), int(fresh[wrong[0]].sum())
+        raise RecoveryError(G.level, f"residual edge {edge} spans {got} nodes, not {size}")
+    # Rows are sorted, so each union is first met at its smallest pair. All
+    # size*(size-1)/2 edges of its clique must carry its multiplicity.
+    unions, first, inv = np.unique(
+        both[fresh].reshape(-1, size), axis=0, return_index=True, return_inverse=True
+    )
+    inv, mults = inv.ravel(), resid[rows[first]]
+    off = np.bincount(inv, weights=resid[rows] != mults[inv], minlength=len(unions))
+    short = np.bincount(inv, minlength=len(unions)) != size * (size - 1) // 2
+    bad = np.flatnonzero(short | (off > 0))
+    if bad.size:
+        j = int(bad[0])
+        edge, union = _edge(G, int(rows[first[j]])), tuple(unions[j].tolist())
+        raise RecoveryError(
+            G.level, f"edge {edge} implies {union} x{mults[j]}; its clique disagrees"
+        )
+    return [tuple(u) for u in unions.tolist()], mults.tolist()
 
 
 def recover(
@@ -68,7 +97,7 @@ def recover(
     `graphs` maps level k to the uncapped weighted decomposition at k;
     levels 1 through max_size - 1 must be present. If max_size is omitted
     it is taken as one more than the highest provided level. Inconsistent
-    inputs raise RecoveryError naming the level and offending edge.
+    inputs raise RecoveryError naming the level and offending edge or node.
     """
     if not graphs:
         raise ValidationError("no decomposed graphs provided")
@@ -84,60 +113,30 @@ def recover(
     missing = [k for k in range(1, max_size) if k not in graphs]
     if missing:
         raise ValidationError(f"missing decomposition levels: {missing}")
-
-    recovered: list[tuple[KSubset, int]] = []
-    for size in range(max_size, 1, -1):
-        level = size - 1
-        G = graphs[level]
-        larger = [(m, c) for m, c in recovered if len(m) > size]
-        weights = _residual_weights(G, larger, level)
-        for key in sorted(weights):
-            mult = weights[key]
-            if mult <= 0:
-                continue
-            a, b = key
-            union = tuple(sorted(set(a) | set(b)))
-            if len(union) != size:
-                raise RecoveryError(
-                    level,
-                    f"residual edge {key} joins subsets whose union has "
-                    f"{len(union)} nodes, expected {size}",
-                )
-            # Consume the whole clique of the identified hyperedge.
-            for pa, pb in _clique_pairs(union, level):
-                pk = _pair_key(pa, pb)
-                left = weights.get(pk, 0) - mult
-                if left < 0:
-                    raise RecoveryError(
-                        level,
-                        f"edge {pk} underflows while peeling hyperedge {union} "
-                        f"(multiplicity {mult})",
-                    )
-                weights[pk] = left
-            recovered.append((union, mult))
-        leftovers = {k: w for k, w in weights.items() if w != 0}
-        if leftovers:
-            key = min(leftovers)
-            raise RecoveryError(
-                level, f"unconsumed weight {leftovers[key]} on edge {key}"
-            )
-
-    level_one = graphs[1]
-    singletons: list[tuple[KSubset, int]] = []
-    for node_idx, count in sorted(level_one.self_loops.items()):
-        if count < 1:
-            raise RecoveryError(1, f"self-loop count {count} on node {node_idx}")
-        singletons.append((level_one.base.nodes[node_idx], count))
-
-    edges: list[Hyperedge] = []
-    for members, mult in recovered + singletons:
-        edges.extend(Hyperedge(members=members) for _ in range(mult))
-
-    max_id = -1
-    for G in graphs.values():
-        for subset in G.base.nodes:
-            if subset and subset[-1] > max_id:
-                max_id = subset[-1]
+    max_id = max((s[-1] for G in graphs.values() for s in G.base.nodes if s), default=-1)
     if max_id < 0:
         raise ValidationError("decompositions contain no nodes")
-    return Hypergraph(n=max_id + 1, edges=tuple(edges))
+    n = max_id + 1
+
+    edges: list[Hyperedge] = []
+    for size in range(max_size, 0, -1):
+        if size > 1:
+            larger = decompose_weighted(Hypergraph(n, tuple(edges)), size - 1)
+            found, mults = _peel(graphs[size - 1], _subtract(graphs[size - 1], larger))
+        else:
+            found = [graphs[1].base.nodes[i] for i in sorted(graphs[1].self_loops)]
+            mults = [graphs[1].self_loops[i] for i in sorted(graphs[1].self_loops)]
+            if any(count < 1 for count in mults):
+                count, node = min(zip(mults, found))
+                raise RecoveryError(1, f"self-loop count {count} on node {node}")
+        if size < max_size:
+            # A node on no edge of the level above must be a size-`size`
+            # hyperedge. (Files list no such nodes; in-memory graphs may.)
+            above = graphs[size].base
+            lone = {above.nodes[i] for i in np.flatnonzero(above.degrees() == 0)}
+            odd = lone - set(found)
+            if odd:
+                raise RecoveryError(size, f"node {min(odd)} lies on no edge or hyperedge")
+        for members, mult in zip(found, mults):
+            edges.extend(Hyperedge(members) for _ in range(mult))
+    return Hypergraph(n=n, edges=tuple(edges))

@@ -15,6 +15,7 @@ from hyperdecomp import (
     read_simplex_format,
     read_weighted_graph,
     recover,
+    write_decomposed_graph,
     write_histogram_tsv,
     write_line_format,
     write_report,
@@ -170,6 +171,11 @@ def test_weighted_graph_header_required(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert "level=" in str(exc.value)
+    assert exc.value.line == 1
+    p = write(tmp_path / "g0.txt", "0 1 2\n# level=0\n")
+    with pytest.raises(FormatError) as exc:
+        read_weighted_graph(p)
+    assert exc.value.line == 2
 
 
 def test_weighted_graph_subset_errors(tmp_path):
@@ -177,13 +183,26 @@ def test_weighted_graph_subset_errors(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert "sorted" in str(exc.value)
+    assert exc.value.line == 2
     p = write(tmp_path / "g2.txt", "# level=2\n0-0 0-1 1\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
+    assert exc.value.line == 2
     p = write(tmp_path / "g3.txt", "# level=2\n0-1-2 0-1 1\n")
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert "level 2" in str(exc.value)
+    assert exc.value.line == 2
+    p = write(tmp_path / "g5.txt", "# level=2\n0-1 1-2 1\n0-1-2 0-1 1\n")
+    with pytest.raises(FormatError) as exc:
+        read_weighted_graph(p)
+    assert "level 2" in str(exc.value)
+    assert exc.value.line == 3
+    # A bad token is reported where it first appears.
+    p = write(tmp_path / "g4.txt", "# level=1\n0 1 1\n2 0x 1\n0x 3 1\n")
+    with pytest.raises(FormatError) as exc:
+        read_weighted_graph(p)
+    assert exc.value.line == 3
 
 
 def test_weighted_graph_weight_and_structure_errors(tmp_path):
@@ -191,18 +210,49 @@ def test_weighted_graph_weight_and_structure_errors(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert "positive" in str(exc.value)
+    assert exc.value.line == 2
     p = write(tmp_path / "g2.txt", "# level=1\n0 1 2\n1 0 1\n")
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert "duplicate" in str(exc.value)
+    assert exc.value.line == 3
+    p = write(tmp_path / "g2b.txt", "# level=1\n0 1 2\n0 2 1\n1 0 1\n")
+    with pytest.raises(FormatError) as exc:
+        read_weighted_graph(p)
+    assert "duplicate" in str(exc.value)
+    assert exc.value.line == 4
     p = write(tmp_path / "g3.txt", "# level=1\n0 0 1\n")
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert "self pair" in str(exc.value)
+    assert exc.value.line == 2
+    p = write(tmp_path / "g3b.txt", "# level=1\n0 1 1\n0 0 1\n")
+    with pytest.raises(FormatError) as exc:
+        read_weighted_graph(p)
+    assert exc.value.line == 3
     p = write(tmp_path / "g4.txt", "# level=2\n0-1 1-2 1\nselfloop 0-1 2\n")
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert "level 1" in str(exc.value)
+    assert exc.value.line == 3
+    p = write(tmp_path / "g5.txt", "# level=1\n0 1 1\nselfloop 0 2\nselfloop 1 0\n")
+    with pytest.raises(FormatError) as exc:
+        read_weighted_graph(p)
+    assert "self-loop count" in str(exc.value)
+    assert exc.value.line == 4
+
+
+def test_decomposed_graph_writers_exact_bytes(tmp_path):
+    H = canonicalize([[0], [0], [0, 1, 2], [1, 12]])
+    G = decompose_weighted(H, 1)
+    p = str(tmp_path / "w.txt")
+    write_weighted_graph(G, p)
+    assert open(p).read() == (
+        "# level=1\n0 1 1\n0 2 1\n1 2 1\n1 12 1\nselfloop 0 2\n"
+    )
+    p = str(tmp_path / "u.txt")
+    write_decomposed_graph(decompose_weighted(H, 2).base, p)
+    assert open(p).read() == "# level=2\n0-1 0-2\n0-1 1-2\n0-2 1-2\n"
 
 
 # --- reports and sidecars --------------------------------------------------

@@ -59,6 +59,34 @@ def test_roundtrip_nested_edges():
     assert_recovered(H)
 
 
+def test_roundtrip_size_12_hyperedge():
+    # A size-12 hyperedge with a nested size-11 one, each peeled at the top
+    # of its own level, plus small edges sharing its nodes.
+    H = canonicalize(
+        [list(range(12)), list(range(11)), [2, 5, 13], [11, 12], [12], [2, 5, 13]]
+    )
+    assert_recovered(H)
+
+
+def test_output_order_is_size_descending_then_lexicographic():
+    # Duplicates stay adjacent; singletons come last, by node.
+    H = canonicalize(
+        [[5, 6], [0], [2, 3, 4], [0, 1, 2, 3], [2, 3], [0], [2, 3, 4], [1, 2, 3], [7]],
+        n=8,
+    )
+    assert recover(stack(H)).member_tuples() == [
+        (0, 1, 2, 3),
+        (1, 2, 3),
+        (2, 3, 4),
+        (2, 3, 4),
+        (2, 3),
+        (5, 6),
+        (0,),
+        (0,),
+        (7,),
+    ]
+
+
 def test_max_size_argument_checks_coverage():
     H = canonicalize([[0, 1, 2, 3]])
     graphs = stack(H)
@@ -115,6 +143,30 @@ def test_missing_edge_is_detected():
     assert exc.value.level == 3
 
 
+def test_isolated_node_without_hyperedge_is_detected():
+    # Dropping the only edge of (0, 1) leaves nodes 0 and 1 on no edge and
+    # with no self-loop: no hypergraph decomposes to that.
+    H = canonicalize([[0, 1], [2, 3]])
+    graphs = stack(H)
+    base = graphs[1].base
+    trimmed = DecomposedGraph(level=1, nodes=base.nodes, edge_array=base.edge_array[1:])
+    graphs[1] = WeightedDecomposedGraph(base=trimmed, weights=graphs[1].weights[1:])
+    with pytest.raises(RecoveryError) as exc:
+        recover(graphs)
+    assert exc.value.level == 1
+    assert "(0,)" in str(exc.value)
+
+
+def test_unsorted_edge_rows_are_rejected():
+    H = canonicalize([[0, 1, 2]])
+    graphs = stack(H)
+    base = graphs[1].base
+    flipped = DecomposedGraph(level=1, nodes=base.nodes, edge_array=base.edge_array[::-1])
+    graphs[1] = WeightedDecomposedGraph(base=flipped, weights=graphs[1].weights[::-1])
+    with pytest.raises(ValidationError):
+        recover(graphs)
+
+
 def test_level_one_self_loop_count_drives_singletons():
     H = canonicalize([[0], [0], [0], [1, 2]], n=3)
     R = recover(stack(H))
@@ -142,3 +194,52 @@ def test_roundtrip_random_hypergraphs(seed):
     if H.num_edges == 0:
         return
     assert_recovered(H)
+
+
+def _perturbed(graphs, kind, delta, pick):
+    """Copy of `graphs` with one weight, edge row or self-loop count changed."""
+    out = dict(graphs)
+    with_edges = [k for k in sorted(graphs) if graphs[k].base.num_edges]
+    if kind == "selfloop" or not with_edges:
+        G = graphs[1]
+        node = pick % G.base.num_nodes
+        loops = dict(G.self_loops)
+        loops[node] = max(1, loops.get(node, 0) + delta)
+        out[1] = WeightedDecomposedGraph(base=G.base, weights=G.weights, self_loops=loops)
+        return out
+    k = with_edges[pick % len(with_edges)]
+    G = graphs[k]
+    row = pick % G.base.num_edges
+    base, weights = G.base, np.array(G.weights)
+    if kind == "weight":
+        weights[row] = max(1, weights[row] + delta)
+    else:
+        keep = np.arange(G.base.num_edges) != row
+        base = DecomposedGraph(level=k, nodes=base.nodes, edge_array=base.edge_array[keep])
+        weights = weights[keep]
+    out[k] = WeightedDecomposedGraph(base=base, weights=weights, self_loops=G.self_loops)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(["weight", "drop", "selfloop"]),
+    st.sampled_from([-1, 1, 2]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_perturbed_input_raises_or_recovers_an_exact_preimage(seed, kind, delta, pick):
+    rng = np.random.default_rng(seed)
+    H = random_hypergraph(rng, max_nodes=12, max_edge_size=5, max_edges=15)
+    graphs = _perturbed(stack(H), kind, delta, pick)
+    try:
+        R = recover(graphs)
+    except RecoveryError as exc:
+        assert exc.level in graphs
+        return
+    for k, G in graphs.items():
+        D = decompose_weighted(R, k)
+        assert D.base.nodes == G.base.nodes
+        assert np.array_equal(D.base.edge_array, G.base.edge_array)
+        assert np.array_equal(D.weights, G.weights)
+        assert D.self_loops == G.self_loops
