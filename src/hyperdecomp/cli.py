@@ -20,6 +20,7 @@ from . import io as hio
 from .core import Hypergraph, ValidationError, dedup
 from .decompose import DecomposeConfig, decompose, decompose_weighted
 from .generators import (
+    DEFAULT_SUBSET_CAP,
     GenParams,
     SamplingRule,
     evaluate,
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", required=True, choices=["hyperpa", "naivepa", "subset", "null"]
     )
     p.add_argument("--params", help="JSON file with generator parameters")
-    p.add_argument("--subset-cap", type=int, default=6)
+    p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
     p.add_argument("--p", type=float, default=0.8)
     p.add_argument("--rule", default="random", choices=["random", "recent", "k-most-recent"])
     p.add_argument("--window", type=int, default=None, help="window for k-most-recent")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -174,15 +174,6 @@ def decompose_weighted(H: Hypergraph, k: int) -> WeightedDecomposedGraph:
     return WeightedDecomposedGraph(base=base, weights=counts, self_loops=self_loops)
 
 
-def decompose_all(
-    H: Hypergraph,
-    levels: Iterable[int],
-    node_level_cap: int = NODE_LEVEL_CAP,
-    higher_level_cap: int = HIGHER_LEVEL_CAP,
-) -> dict[int, DecomposedGraph]:
+def decompose_all(H: Hypergraph, levels: Iterable[int]) -> dict[int, DecomposedGraph]:
     """Decompose at each requested level with the default per-level caps."""
-    out: dict[int, DecomposedGraph] = {}
-    for level in sorted(set(levels)):
-        cap = node_level_cap if level == 1 else higher_level_cap
-        out[level] = decompose(H, DecomposeConfig(level=level, max_edge_size=cap))
-    return out
+    return {lv: decompose(H, DecomposeConfig.for_level(lv)) for lv in sorted(set(levels))}

@@ -15,8 +15,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, combinations
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, combinations, islice
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -219,15 +219,35 @@ class RunStats:
         return {"fallback_draws": self.fallback_draws, "capped_draws": self.capped_draws}
 
 
-def _seed_edges(edge_size: int, count: int) -> list[tuple[int, ...]]:
-    """Disjoint starter hyperedges over fresh node ids."""
-    return [
-        tuple(range(t * edge_size, (t + 1) * edge_size)) for t in range(count)
-    ]
+def _grow(
+    params: GenParams,
+    rng: random.Random,
+    seed_size: int,
+    seed_count: int,
+    choose: Callable[[int, int], tuple[int, ...]],
+    absorb: Callable[[tuple[int, ...]], object],
+) -> Hypergraph:
+    """The arrival process shared by the growth models.
 
-
-def _finish(edges: list[tuple[int, ...]], n: int) -> Hypergraph:
-    return Hypergraph(n=n, edges=tuple(Hyperedge(members=e) for e in edges))
+    Seeds `seed_count` disjoint hyperedges of `seed_size` fresh nodes, then
+    each arriving node draws a hyperedge count and a size s per hyperedge for
+    `choose(node, s)` to fill. `absorb` takes the seeds, then each node's
+    hyperedges once all of them are drawn.
+    """
+    if seed_count < 1:
+        raise ValidationError("size distribution must reach 2 for attachment to work")
+    size_sampler = _DistSampler(params.sizes, "sizes", 1)
+    arrival_sampler = _DistSampler(params.new_edges, "new_edges", 0)
+    edges = [tuple(range(t * seed_size, (t + 1) * seed_size)) for t in range(seed_count)]
+    for e in edges:
+        absorb(e)
+    first = seed_size * seed_count
+    for node in range(first, first + params.n):
+        new = [choose(node, size_sampler.draw(rng)) for _ in range(arrival_sampler.draw(rng))]
+        for e in new:
+            absorb(e)
+        edges.extend(new)
+    return Hypergraph(n=first + params.n, edges=tuple(Hyperedge(members=e) for e in edges))
 
 
 def hyperpa_detailed(
@@ -246,49 +266,29 @@ def hyperpa_detailed(
     after all of them are drawn.
     """
     rng = random.Random(seed)
-    s_bar = params.max_size
-    if s_bar < 2:
-        raise ValidationError("size distribution must reach 2 for attachment to work")
-    size_sampler = _DistSampler(params.sizes, "sizes", 1)
-    arrival_sampler = _DistSampler(params.new_edges, "new_edges", 0)
-
-    init = _seed_edges(2, s_bar // 2)
     index = GroupDegreeIndex(subset_cap)
-    edges: list[tuple[int, ...]] = []
-    for e in init:
-        edges.append(e)
-        index.add_hyperedge(e)
-    next_id = 2 * (s_bar // 2)
-    fallback = 0
-    capped = 0
+    fallback = capped = 0
 
-    for _ in range(params.n):
-        node = next_id
-        next_id += 1
-        new: list[tuple[int, ...]] = []
-        for _ in range(arrival_sampler.draw(rng)):
-            s = size_sampler.draw(rng)
-            if s == 1:
-                new.append((node,))
-                continue
-            g_size = s - 1
-            if g_size > subset_cap:
-                capped += 1
-                chosen: set[int] = set()
-                while len(chosen) < g_size:
-                    chosen.add(index.sample(1, rng)[0])
-                group = tuple(chosen)
-            elif index.count(g_size) == 0:
-                fallback += 1
-                group = tuple(rng.sample(range(node), g_size))
-            else:
-                group = index.sample(g_size, rng)
-            new.append(tuple(sorted(group + (node,))))
-        for e in new:
-            edges.append(e)
-            index.add_hyperedge(e)
+    def choose(node: int, s: int) -> tuple[int, ...]:
+        nonlocal fallback, capped
+        g_size = s - 1
+        if g_size == 0:
+            return (node,)
+        if g_size > subset_cap:
+            capped += 1
+            chosen: set[int] = set()
+            while len(chosen) < g_size:
+                chosen.add(index.sample(1, rng)[0])
+            group = tuple(chosen)
+        elif index.count(g_size) == 0:
+            fallback += 1
+            group = tuple(rng.sample(range(node), g_size))
+        else:
+            group = index.sample(g_size, rng)
+        return tuple(sorted(group + (node,)))
 
-    return _finish(edges, next_id), RunStats(fallback_draws=fallback, capped_draws=capped)
+    H = _grow(params, rng, 2, params.max_size // 2, choose, index.add_hyperedge)
+    return H, RunStats(fallback_draws=fallback, capped_draws=capped)
 
 
 def hyperpa(
@@ -305,31 +305,15 @@ def naivepa(params: GenParams, seed: int = 0) -> Hypergraph:
     update only after each node's hyperedges are all drawn.
     """
     rng = random.Random(seed)
-    s_bar = params.max_size
-    if s_bar < 2:
-        raise ValidationError("size distribution must reach 2 for attachment to work")
-    size_sampler = _DistSampler(params.sizes, "sizes", 1)
-    arrival_sampler = _DistSampler(params.new_edges, "new_edges", 0)
+    bag: list[int] = []
 
-    edges: list[tuple[int, ...]] = list(_seed_edges(2, s_bar // 2))
-    bag: list[int] = [v for e in edges for v in e]
-    next_id = 2 * (s_bar // 2)
+    def choose(node: int, s: int) -> tuple[int, ...]:
+        chosen: set[int] = set()
+        while len(chosen) < s - 1:
+            chosen.add(bag[rng.randrange(len(bag))])
+        return tuple(sorted(chosen | {node}))
 
-    for _ in range(params.n):
-        node = next_id
-        next_id += 1
-        new: list[tuple[int, ...]] = []
-        for _ in range(arrival_sampler.draw(rng)):
-            s = size_sampler.draw(rng)
-            chosen: set[int] = set()
-            while len(chosen) < s - 1:
-                chosen.add(bag[rng.randrange(len(bag))])
-            new.append(tuple(sorted(chosen | {node})))
-        for e in new:
-            edges.append(e)
-            bag.extend(e)
-
-    return _finish(edges, next_id)
+    return _grow(params, rng, 2, params.max_size // 2, choose, bag.extend)
 
 
 @dataclass(frozen=True)
@@ -376,15 +360,12 @@ def _pick_recent(count: int, rng: random.Random) -> int:
 def _pick_prior(
     edges: list[tuple[int, ...]], rule: SamplingRule, rng: random.Random
 ) -> tuple[int, ...]:
-    count = len(edges)
-    if rule.kind == "random":
-        return edges[rng.randrange(count)]
-    if rule.kind == "recent":
-        return edges[_pick_recent(count, rng) - 1]
-    window = edges[max(0, count - rule.k) :]
-    if rule.inner == "random":
-        return window[rng.randrange(len(window))]
-    return window[_pick_recent(len(window), rng) - 1]
+    """Uniform or recency-weighted draw, within the window for k-most-recent."""
+    windowed = rule.kind == "k-most-recent"
+    lo = max(0, len(edges) - rule.k) if windowed else 0
+    if (rule.inner if windowed else rule.kind) == "random":
+        return edges[lo + rng.randrange(len(edges) - lo)]
+    return edges[lo + _pick_recent(len(edges) - lo, rng) - 1]
 
 
 def subset_sampling(
@@ -398,37 +379,36 @@ def subset_sampling(
     A new hyperedge starts from its arriving node and repeatedly samples a
     prior hyperedge (per the rule), admitting each of its nodes with
     probability p; overshoot is truncated uniformly. Runs until the drawn
-    size is reached, which happens with probability one for p > 0.
+    size is reached, which happens with probability one for p > 0; a
+    k-most-recent window with too few nodes raises ValidationError instead.
     """
     if not 0.0 < p <= 1.0:
         raise ValidationError("inclusion probability must lie in (0, 1]")
     rule = rule if rule is not None else SamplingRule()
     rng = random.Random(seed)
-    s_bar = params.max_size
-    size_sampler = _DistSampler(params.sizes, "sizes", 1)
-    arrival_sampler = _DistSampler(params.new_edges, "new_edges", 0)
+    prior: list[tuple[int, ...]] = []
 
-    edges: list[tuple[int, ...]] = list(_seed_edges(s_bar, 2))
-    next_id = 2 * s_bar
+    def choose(node: int, s: int) -> tuple[int, ...]:
+        if rule.kind == "k-most-recent":
+            reach: set[int] = set()
+            for e in islice(reversed(prior), rule.k):
+                reach.update(e)
+                if len(reach) + 1 >= s:
+                    break
+            else:
+                held = f"the k={rule.k} most recent hyperedges hold {len(reach)} nodes"
+                raise ValidationError(f"{held}, too few for a hyperedge of size s={s}")
+        members = {node}
+        while len(members) < s:
+            picked = _pick_prior(prior, rule, rng)
+            pool = [v for v in picked if v not in members and rng.random() < p]
+            room = s - len(members)
+            if len(pool) > room:
+                pool = rng.sample(sorted(pool), room)
+            members.update(pool)
+        return tuple(sorted(members))
 
-    for _ in range(params.n):
-        node = next_id
-        next_id += 1
-        new: list[tuple[int, ...]] = []
-        for _ in range(arrival_sampler.draw(rng)):
-            s = size_sampler.draw(rng)
-            members = {node}
-            while len(members) < s:
-                prior = _pick_prior(edges, rule, rng)
-                pool = [v for v in prior if v not in members and rng.random() < p]
-                room = s - len(members)
-                if len(pool) > room:
-                    pool = rng.sample(sorted(pool), room)
-                members.update(pool)
-            new.append(tuple(sorted(members)))
-        edges.extend(new)
-
-    return _finish(edges, next_id)
+    return _grow(params, rng, params.max_size, 2, choose, prior.append)
 
 
 def null_model(H: Hypergraph, seed: int = 0) -> Hypergraph:

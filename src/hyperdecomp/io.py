@@ -172,7 +172,11 @@ def _write_edges(
     weights: np.ndarray | None = None,
     self_loops: Mapping[int, int] | None = None,
 ) -> None:
-    """Level header, one edge per line (with its weight if given), then self-loops."""
+    """Level header, one edge per line, then self-loops.
+
+    With weights, each edge line ends in its weight and a `node` line lists
+    every node that lies on no edge, so the file keeps all of the nodes.
+    """
     labels = [_subset_str(s) for s in base.nodes]
     us, vs = base.edge_array[:, 0].tolist(), base.edge_array[:, 1].tolist()
     with open(path, "w", encoding="utf-8") as fh:
@@ -182,6 +186,8 @@ def _write_edges(
         else:
             ws = weights.tolist()
             fh.writelines(f"{labels[u]} {labels[v]} {w}\n" for u, v, w in zip(us, vs, ws))
+            lone = np.flatnonzero(base.degrees() == 0).tolist()
+            fh.writelines(f"node {labels[i]}\n" for i in lone)
         for node_idx, count in sorted((self_loops or {}).items()):
             fh.write(f"selfloop {labels[node_idx]} {count}\n")
 
@@ -192,7 +198,7 @@ def write_decomposed_graph(G: DecomposedGraph, path: str) -> None:
 
 
 def write_weighted_graph(G: WeightedDecomposedGraph, path: str) -> None:
-    """Level header, one weighted edge per line, then self-loop lines."""
+    """Level header, weighted edge lines, `node` lines, then self-loop lines."""
     _write_edges(G.base, path, G.weights, G.self_loops)
 
 
@@ -228,6 +234,11 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
                             raise FormatError(path, lineno, f"bad level {tok!r}")
                         if level < 1:
                             raise FormatError(path, lineno, f"level {level} < 1")
+                continue
+            if toks[0] == "node":
+                if len(toks) != 2:
+                    raise FormatError(path, lineno, "node lines take one subset")
+                subset_id(toks[1], lineno)
                 continue
             if toks[0] == "selfloop":
                 if len(toks) != 3:

@@ -131,7 +131,7 @@ def recover(
                 raise RecoveryError(1, f"self-loop count {count} on node {node}")
         if size < max_size:
             # A node on no edge of the level above must be a size-`size`
-            # hyperedge. (Files list no such nodes; in-memory graphs may.)
+            # hyperedge. (Weighted files list such nodes on `node` lines.)
             above = graphs[size].base
             lone = {above.nodes[i] for i in np.flatnonzero(above.degrees() == 0)}
             odd = lone - set(found)

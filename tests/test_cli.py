@@ -175,6 +175,20 @@ def test_generate_subset_from_params_file(tmp_path):
     assert read_line_format(out).num_edges > 0
 
 
+def test_generate_subset_window_too_small_fails_cleanly(tmp_path, capsys):
+    params = write(
+        tmp_path / "params.json",
+        json.dumps({"n": 50, "sizes": {"2": 0.5, "4": 0.5}, "new_edges": {"1": 1.0}}),
+    )
+    out = tmp_path / "s.txt"
+    argv = ["generate", "--model", "subset", "--params", params, "--p", "1.0"]
+    argv += ["--rule", "k-most-recent", "--window", "1", "--seed", "0", "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "k=1" in err and "s=4" in err
+    assert not out.exists()
+
+
 def test_evaluate_reports_points(tmp_path, capsys):
     data = write(
         tmp_path / "in.txt",

@@ -1,5 +1,7 @@
 """Generator semantics, determinism, and the evaluation scorecard."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -281,6 +283,18 @@ def test_subset_sampling_rules_and_determinism():
         assert H1.member_tuples() == H2.member_tuples()
 
 
+def test_k_most_recent_window_too_small_raises():
+    # A window holding one pair, plus the newcomer, cannot fill a size-4
+    # hyperedge; sampling used to loop forever here.
+    params = GenParams(n=50, sizes={2: 0.5, 4: 0.5}, new_edges={1: 1.0})
+    rule = SamplingRule(kind="k-most-recent", k=1)
+    with pytest.raises(ValidationError, match=r"k=1 .* s=4"):
+        subset_sampling(params, p=1.0, rule=rule, seed=0)
+    # Four recent hyperedges hold four distinct newcomers: enough for size 4.
+    wide = SamplingRule(kind="k-most-recent", k=4)
+    assert subset_sampling(params, p=1.0, rule=wide, seed=0).num_edges == 52
+
+
 def test_sampling_rule_validation():
     with pytest.raises(ValidationError):
         SamplingRule(kind="fifo")
@@ -305,6 +319,57 @@ def test_k_most_recent_window_is_honored():
     rule = SamplingRule(kind="k-most-recent", k=3, inner="random")
     for _ in range(300):
         assert gen_mod._pick_prior(edges, rule, rng)[0] >= 97
+
+
+# --- pinned outputs --------------------------------------------------------
+
+# sha256 of the canonical JSON of (n, member tuples, run stats) for one seed
+# of a size law reaching 4. cap 2 forces the capped branch, cap 6 meets one
+# fallback draw. A changed digest means a changed RNG stream or draw order.
+PINNED = {
+    "hyperpa-cap2": "bc6034fab6f5ce165efd5baa9c3d41e47230953a317deae42f8267b346fad737",
+    "hyperpa-cap6": "6f584ffcc4c39ef5d458f10b9c3bc9564f4032729de103ff659778a6894823aa",
+    "naivepa": "1795b1118c53fd4fa67fd2df46744fe85e3c81dad52f02ffef0febab4e48e704",
+    "subset-random-p0.3": "eb81f31dffd94c8cd689efb482005cc685773f87112c6a5c47edb5169beeaf1e",
+    "subset-random-p1.0": "a3c094addbe3f80299a71edb6009fc18c4ec2fd37ef0f12331e18b26a7f13a57",
+    "subset-recent-p0.3": "7b2008b82dff07882fa2bd98bd54607035d2c38ac1990832b33c84efc05066f3",
+    "subset-recent-p1.0": "7ddadb28a7becde547a981dad2be4c06911145152551eeba051058e8db2e9a57",
+    "subset-k5random-p0.3": "fb6fa1406489c6bf0e097d32a4986bb1e9ed94a785166b3587e5fd9f9a1bf629",
+    "subset-k5random-p1.0": "648fc0dfe9a7985d2c5d12c4744168f14476713284645756426b9067e75f30c9",
+    "subset-k5recent-p0.3": "b38cae5e6794bb23542e2bc83538af4a324df3e3e9db87437e48011db9967eb8",
+    "subset-k5recent-p1.0": "031a24c93af893f294e0b55951d304afb02811fdccac522657b8c782bf7204d1",
+}
+
+
+def _pinned_run(case: str):
+    params = GenParams(
+        n=120, sizes={1: 0.1, 2: 0.4, 3: 0.3, 4: 0.2}, new_edges={0: 0.2, 1: 0.5, 2: 0.3}
+    )
+    model, _, variant = case.partition("-")
+    if model == "hyperpa":
+        return hyperpa_detailed(params, seed=2, subset_cap=int(variant[3:]))
+    if model == "naivepa":
+        return naivepa(params, seed=2), None
+    name, p = variant.split("-p")
+    rules = {
+        "random": SamplingRule(),
+        "recent": SamplingRule(kind="recent"),
+        "k5random": SamplingRule(kind="k-most-recent", k=5, inner="random"),
+        "k5recent": SamplingRule(kind="k-most-recent", k=5, inner="recent"),
+    }
+    return subset_sampling(params, p=float(p), rule=rules[name], seed=2), None
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_generator_outputs_are_pinned(case):
+    H, stats = _pinned_run(case)
+    canonical = {
+        "n": H.n,
+        "edges": H.member_tuples(),
+        "stats": stats.to_dict() if stats is not None else None,
+    }
+    digest = hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED[case]
 
 
 # --- null model ------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from hyperdecomp import (
     FormatError,
+    RecoveryError,
     canonicalize,
     decompose_weighted,
     format_float,
@@ -164,6 +165,44 @@ def test_weighted_graph_files_feed_recovery(tmp_path):
         graphs[level] = read_weighted_graph(p)
     R = recover(graphs)
     assert sorted(R.member_tuples()) == sorted(H.member_tuples())
+
+
+def test_weighted_graph_files_keep_nodes_on_no_edge(tmp_path):
+    # At level 2 the three pairs are nodes that lie on no edge.
+    H = canonicalize([[0, 1, 2], [1, 2, 3], [3, 4], [0, 4], [2, 4], [5]])
+    graphs = {}
+    for level in (1, 2, 3):
+        G = decompose_weighted(H, level)
+        p = str(tmp_path / f"g{level}.txt")
+        write_weighted_graph(G, p)
+        back = graphs[level] = read_weighted_graph(p)
+        assert back.base.nodes == G.base.nodes
+        assert np.array_equal(back.base.edge_array, G.base.edge_array)
+        assert np.array_equal(back.weights, G.weights)
+        assert back.self_loops == G.self_loops
+    assert graphs[2].base.num_nodes == 8
+    assert "node 0-4\nnode 2-4\nnode 3-4\n" in (tmp_path / "g2.txt").read_text()
+    in_memory = recover({k: decompose_weighted(H, k) for k in (1, 2, 3)})
+    assert recover(graphs).member_tuples() == in_memory.member_tuples()
+    # A listed node that no hyperedge explains is now caught from files too.
+    with open(tmp_path / "g2.txt", "a", encoding="utf-8") as fh:
+        fh.write("node 1-4\n")
+    graphs[2] = read_weighted_graph(str(tmp_path / "g2.txt"))
+    with pytest.raises(RecoveryError, match="1, 4"):
+        recover(graphs)
+
+
+def test_weighted_graph_node_lines_are_checked(tmp_path):
+    p = write(tmp_path / "g.txt", "# level=2\n0-1 1-2 1\nnode 3-4 5-6\n")
+    with pytest.raises(FormatError) as exc:
+        read_weighted_graph(p)
+    assert "node lines" in str(exc.value)
+    assert exc.value.line == 3
+    p = write(tmp_path / "g2.txt", "# level=2\n0-1 1-2 1\nnode 3\n")
+    with pytest.raises(FormatError) as exc:
+        read_weighted_graph(p)
+    assert "level 2" in str(exc.value)
+    assert exc.value.line == 3
 
 
 def test_weighted_graph_header_required(tmp_path):
