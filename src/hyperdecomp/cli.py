@@ -210,6 +210,10 @@ def cmd_generate(args) -> int:
     H = None
     if args.input is not None or args.simplex:
         H = _load_hypergraph(args)
+    if args.rule != "k-most-recent" and (args.window is not None or args.inner is not None):
+        raise ValidationError(
+            f"--window and --inner only apply to --rule k-most-recent, not {args.rule!r}"
+        )
     manifest: dict = {"model": args.model, "seed": args.seed}
     if args.model == "null":
         if H is None:
@@ -227,7 +231,7 @@ def cmd_generate(args) -> int:
         elif args.model == "naivepa":
             out_H = naivepa(params, seed=args.seed)
         elif args.model == "subset":
-            rule = SamplingRule(kind=args.rule, k=args.window, inner=args.inner)
+            rule = SamplingRule(kind=args.rule, k=args.window, inner=args.inner or "random")
             out_H = subset_sampling(params, p=args.p, rule=rule, seed=args.seed)
             manifest["p"] = args.p
             manifest["rule"] = rule.to_dict()
@@ -313,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.8)
     p.add_argument("--rule", default="random", choices=["random", "recent", "k-most-recent"])
     p.add_argument("--window", type=int, default=None, help="window for k-most-recent")
-    p.add_argument("--inner", default="random", choices=["random", "recent"])
+    p.add_argument("--inner", choices=["random", "recent"], help="k-most-recent only; default random")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -28,7 +28,6 @@ __all__ = [
     "default_max_edge_size",
     "decompose",
     "decompose_weighted",
-    "decompose_all",
     "NODE_LEVEL_CAP",
     "HIGHER_LEVEL_CAP",
     "MAX_PACKED_SUBSETS",
@@ -40,9 +39,6 @@ HIGHER_LEVEL_CAP = 7
 # Pair keys pack two subset indices as (lo << 32) | hi in an int64, so the
 # subset index must stay below 2**31 for lo to keep clear of the sign bit.
 MAX_PACKED_SUBSETS = 2**31
-
-# Cache of upper-triangle index pairs, keyed by clique size.
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def default_max_edge_size(level: int) -> int:
@@ -72,83 +68,78 @@ class DecomposeConfig:
         return cls(level=level, max_edge_size=max_edge_size)
 
 
-def _pair_indices(t: int) -> tuple[np.ndarray, np.ndarray]:
-    pair = _TRIU_CACHE.get(t)
-    if pair is None:
-        pair = np.triu_indices(t, 1)
-        _TRIU_CACHE[t] = pair
-    return pair
-
-
 def _collect(
     member_lists: Iterable[KSubset],
     k: int,
     cap: int | None,
     with_counts: bool,
-):
-    """Shared enumeration core: subset index plus encoded pair stream."""
-    index: dict[KSubset, int] = {}
-    chunks: list[np.ndarray] = []
+) -> tuple[np.ndarray, DecomposedGraph, np.ndarray | None]:
+    """Shared enumeration core: sorted subsets, graph, containment counts.
+
+    Hyperedges are grouped by size s; each group becomes an (m_s, s) block
+    whose k-subsets are taken with one index pattern. Subsets and pair keys
+    are then deduplicated by sorting, so rows come out lexicographic.
+    """
+    groups: dict[int, list[KSubset]] = {}
     for members in member_lists:
         s = len(members)
-        if s < k or (cap is not None and s > cap):
-            continue
-        idxs = np.fromiter(
-            (index.setdefault(c, len(index)) for c in combinations(members, k)),
-            dtype=np.int64,
-        )
-        t = idxs.shape[0]
-        if t >= 2:
-            iu, iv = _pair_indices(t)
-            a = idxs[iu]
-            b = idxs[iv]
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            chunks.append((lo << 32) | hi)
+        if s >= k and (cap is None or s <= cap):
+            groups.setdefault(s, []).append(members)
+    blocks = [
+        np.array(group, dtype=np.int64)[:, list(combinations(range(s), k))]
+        for s, group in sorted(groups.items())
+    ]
+    shapes = [block.shape[:2] for block in blocks]
+    flat = np.concatenate([b.reshape(-1, k) for b in blocks] or [np.empty((0, k), np.int64)])
+    del blocks
 
-    if len(index) >= MAX_PACKED_SUBSETS:
+    # Rank every subset in lexicographic order; equal subsets share a rank.
+    order = np.lexsort(flat.T[::-1])
+    ranked = flat[order]
+    fresh = np.ones(len(ranked), dtype=bool)
+    fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    nodes = ranked[fresh]
+    if len(nodes) >= MAX_PACKED_SUBSETS:
         raise ValidationError(
-            f"level {k}: {len(index)} distinct subsets reach the pair-key "
+            f"level {k}: {len(nodes)} distinct subsets reach the pair-key "
             f"packing limit of {MAX_PACKED_SUBSETS}"
         )
-    if chunks:
-        enc = np.concatenate(chunks)
-        if with_counts:
-            enc, counts = np.unique(enc, return_counts=True)
-        else:
-            enc = np.unique(enc)
-            counts = None
-    else:
-        enc = np.empty(0, dtype=np.int64)
-        counts = np.empty(0, dtype=np.int64) if with_counts else None
+    ids = np.empty(len(flat), dtype=np.int64)
+    ids[order] = np.cumsum(fresh) - 1
+    del flat, ranked, order, fresh
 
-    # Re-index subsets lexicographically for reproducible output.
-    subsets = sorted(index)
-    perm = np.empty(len(index), dtype=np.int64)
-    for new_i, subset in enumerate(subsets):
-        perm[index[subset]] = new_i
+    # A hyperedge's subsets are in lexicographic order, so ids increase
+    # along a row and subset u is the lo end of its pairs with later columns.
+    keys = np.empty(sum(m * c * (c - 1) // 2 for m, c in shapes), dtype=np.int64)
+    start = pos = 0
+    for m, c in shapes:
+        row_ids = ids[start : start + m * c].reshape(m, c)
+        out = keys[pos : pos + m * c * (c - 1) // 2].reshape(m, -1)
+        col = 0
+        for u in range(c - 1):
+            width = c - 1 - u
+            lo = row_ids[:, u, None] << 32
+            np.bitwise_or(lo, row_ids[:, u + 1 :], out=out[:, col : col + width])
+            col += width
+        start, pos = start + m * c, pos + out.size
 
-    if enc.shape[0]:
-        u = perm[enc >> 32]
-        v = perm[enc & 0xFFFFFFFF]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        order = np.lexsort((hi, lo))
-        edge_array = np.stack([lo[order], hi[order]], axis=1)
-        if counts is not None:
-            counts = counts[order]
-    else:
-        edge_array = np.empty((0, 2), dtype=np.int64)
-
-    return tuple(subsets), edge_array, counts
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    counts = np.diff(np.flatnonzero(first), append=len(keys)) if with_counts else None
+    keys = keys[first]
+    edge_array = np.empty((len(keys), 2), dtype=np.int64)
+    np.right_shift(keys, 32, out=edge_array[:, 0])
+    np.bitwise_and(keys, 0xFFFFFFFF, out=edge_array[:, 1])
+    # Zipping the columns makes half the Python objects that rows would.
+    graph = DecomposedGraph(level=k, nodes=tuple(zip(*nodes.T.tolist())), edge_array=edge_array)
+    return nodes, graph, counts
 
 
 def decompose(H: Hypergraph, cfg: DecomposeConfig) -> DecomposedGraph:
     """Build the level-k decomposed graph under the configured size cap."""
-    nodes, edge_array, _ = _collect(
-        H.member_tuples(), cfg.level, cfg.max_edge_size, with_counts=False
-    )
-    return DecomposedGraph(level=cfg.level, nodes=nodes, edge_array=edge_array)
+    _, graph, _ = _collect(H.member_tuples(), cfg.level, cfg.max_edge_size, with_counts=False)
+    return graph
 
 
 def decompose_weighted(H: Hypergraph, k: int) -> WeightedDecomposedGraph:
@@ -161,19 +152,11 @@ def decompose_weighted(H: Hypergraph, k: int) -> WeightedDecomposedGraph:
     if k < 1:
         raise ValidationError("level must be >= 1")
     members = H.member_tuples()
-    nodes, edge_array, counts = _collect(members, k, cap=None, with_counts=True)
-    base = DecomposedGraph(level=k, nodes=nodes, edge_array=edge_array)
+    nodes, base, counts = _collect(members, k, cap=None, with_counts=True)
     self_loops: dict[int, int] = {}
     if k == 1:
-        node_index = {subset: i for i, subset in enumerate(nodes)}
-        for m in members:
-            if len(m) == 1:
-                idx = node_index[m]
-                self_loops[idx] = self_loops.get(idx, 0) + 1
+        singles = np.array([m[0] for m in members if len(m) == 1], dtype=np.int64)
+        hits = np.bincount(np.searchsorted(nodes[:, 0], singles), minlength=len(nodes))
+        self_loops = {int(i): int(hits[i]) for i in np.flatnonzero(hits)}
     assert counts is not None
     return WeightedDecomposedGraph(base=base, weights=counts, self_loops=self_loops)
-
-
-def decompose_all(H: Hypergraph, levels: Iterable[int]) -> dict[int, DecomposedGraph]:
-    """Decompose at each requested level with the default per-level caps."""
-    return {lv: decompose(H, DecomposeConfig.for_level(lv)) for lv in sorted(set(levels))}

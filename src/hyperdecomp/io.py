@@ -166,6 +166,11 @@ def _parse_subset(tok: str, path: str, lineno: int) -> KSubset:
     return parts
 
 
+# Edges are formatted this many rows at a time, so that no Python list
+# spans the whole edge array.
+_WRITE_BLOCK = 2**16
+
+
 def _write_edges(
     base: DecomposedGraph,
     path: str,
@@ -178,14 +183,16 @@ def _write_edges(
     every node that lies on no edge, so the file keeps all of the nodes.
     """
     labels = [_subset_str(s) for s in base.nodes]
-    us, vs = base.edge_array[:, 0].tolist(), base.edge_array[:, 1].tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level={base.level}\n")
-        if weights is None:
-            fh.writelines(f"{labels[u]} {labels[v]}\n" for u, v in zip(us, vs))
-        else:
-            ws = weights.tolist()
-            fh.writelines(f"{labels[u]} {labels[v]} {w}\n" for u, v, w in zip(us, vs, ws))
+        for start in range(0, base.num_edges, _WRITE_BLOCK):
+            us, vs = base.edge_array[start : start + _WRITE_BLOCK].T.tolist()
+            if weights is None:
+                fh.writelines(f"{labels[u]} {labels[v]}\n" for u, v in zip(us, vs))
+            else:
+                ws = weights[start : start + _WRITE_BLOCK].tolist()
+                fh.writelines(f"{labels[u]} {labels[v]} {w}\n" for u, v, w in zip(us, vs, ws))
+        if weights is not None:
             lone = np.flatnonzero(base.degrees() == 0).tolist()
             fh.writelines(f"node {labels[i]}\n" for i in lone)
         for node_idx, count in sorted((self_loops or {}).items()):

@@ -170,9 +170,25 @@ def test_generate_subset_from_params_file(tmp_path):
     )
     assert code == 0
     manifest = json.loads((tmp_path / "s.txt.manifest.json").read_text())
-    assert manifest["rule"]["kind"] == "k-most-recent"
+    assert manifest["rule"] == {"kind": "k-most-recent", "k": 4, "inner": "random"}
     assert manifest["p"] == 0.8
     assert read_line_format(out).num_edges > 0
+
+
+@pytest.mark.parametrize(
+    "flags", [["--rule", "recent", "--window", "3"], ["--inner", "recent"]]
+)
+def test_generate_rejects_window_and_inner_without_k_most_recent(tmp_path, capsys, flags):
+    params = write(
+        tmp_path / "params.json",
+        json.dumps({"n": 40, "sizes": {"2": 0.5, "3": 0.5}, "new_edges": {"1": 1.0}}),
+    )
+    out = tmp_path / "s.txt"
+    argv = ["generate", "--model", "subset", "--params", params, *flags, "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "k-most-recent" in err
+    assert not out.exists()
 
 
 def test_generate_subset_window_too_small_fails_cleanly(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Decomposition against exhaustive subset-pair and containment oracles."""
 
+import hashlib
 import importlib
 from itertools import combinations
 from math import comb
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperdecomp.cli as cli
 from hyperdecomp import (
     DecomposeConfig,
     ValidationError,
     canonicalize,
     decompose,
-    decompose_all,
     decompose_weighted,
 )
 
@@ -88,7 +89,7 @@ def test_triangle_level_of_size_8_edge():
 
 def test_default_caps_filter_large_hyperedges():
     H = canonicalize([list(range(8)), [0, 1]])
-    levels = decompose_all(H, [1, 2])
+    levels = {k: decompose(H, DecomposeConfig.for_level(k)) for k in (1, 2)}
     # Node level admits the size-8 hyperedge (cap 25), level 2 does not.
     assert levels[1].num_nodes == 8
     assert levels[1].num_edges == comb(8, 2)
@@ -96,13 +97,13 @@ def test_default_caps_filter_large_hyperedges():
     assert levels[2].num_edges == 0
 
     big = canonicalize([list(range(26))])
-    all_lv = decompose_all(big, [1, 2])
+    all_lv = {k: decompose(big, DecomposeConfig.for_level(k)) for k in (1, 2)}
     assert all_lv[1].num_nodes == 0 and all_lv[2].num_nodes == 0
 
 
 def test_size_5_hyperedge_across_levels():
     H = canonicalize([list(range(5))])
-    counts = [decompose_all(H, [k])[k].num_nodes for k in (1, 2, 3, 4)]
+    counts = [decompose(H, DecomposeConfig.for_level(k)).num_nodes for k in (1, 2, 3, 4)]
     assert counts == [5, 10, 10, 5]
 
 
@@ -197,6 +198,54 @@ def test_order_independence(pyrandom, k):
     assert np.array_equal(G1.edge_array, G2.edge_array)
 
 
+@st.composite
+def sparse_relabeled(draw):
+    """A multiset hypergraph on 0..n-1 and an order-preserving map of its
+    ids into [0, 2**32 - 1]."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    edge = st.lists(
+        st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=min(n, 7), unique=True
+    )
+    edges = draw(st.lists(edge, min_size=1, max_size=10))
+    edges += [[draw(st.integers(0, n - 1))]]  # a singleton
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))  # repeats
+    ids = st.integers(min_value=0, max_value=2**32 - 1)
+    sparse = sorted(draw(st.lists(ids, min_size=n, max_size=n, unique=True)))
+    return canonicalize(edges, n=n), sparse
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_relabeled(), st.integers(min_value=1, max_value=6), st.integers(0, 4))
+def test_core_commutes_with_sparse_relabeling(case, k, extra_cap):
+    H, sparse = case
+    S = canonicalize([[sparse[v] for v in e] for e in H.member_tuples()])
+    cap = k + extra_cap
+
+    def relabel(nodes):
+        return tuple(tuple(sparse[v] for v in subset) for subset in nodes)
+
+    G, GS = (decompose(X, DecomposeConfig(level=k, max_edge_size=cap)) for X in (H, S))
+    assert GS.nodes == relabel(G.nodes)
+    assert np.array_equal(GS.edge_array, G.edge_array)
+    W, WS = decompose_weighted(H, k), decompose_weighted(S, k)
+    assert WS.base.nodes == relabel(W.base.nodes)
+    assert np.array_equal(WS.base.edge_array, W.base.edge_array)
+    assert np.array_equal(WS.weights, W.weights)
+    assert WS.self_loops == W.self_loops
+
+    members = H.member_tuples()
+    nodes, edges = oracle_unweighted(members, k, cap)
+    assert list(G.nodes) == nodes and edge_pairs(G) == edges
+    nodes, weights, loops = oracle_weighted(members, k)
+    assert list(W.base.nodes) == nodes
+    got = {
+        (W.base.nodes[int(u)], W.base.nodes[int(v)]): int(w)
+        for (u, v), w in zip(W.base.edge_array, W.weights)
+    }
+    assert got == weights
+    assert {W.base.nodes[i]: c for i, c in W.self_loops.items()} == (loops if k == 1 else {})
+
+
 def test_weighted_topology_matches_uncapped_unweighted():
     rng = np.random.default_rng(5)
     H = random_hypergraph(rng, max_nodes=12, max_edge_size=6, max_edges=12)
@@ -228,3 +277,52 @@ def test_subset_index_limit_raises_before_packing_overflows(monkeypatch):
         decompose(H, DecomposeConfig.for_level(1))
     with pytest.raises(ValidationError, match="packing limit"):
         decompose_weighted(H, 1)
+
+
+# --- pinned output files ---------------------------------------------------
+
+# sha256 of the files `decompose` writes at levels 1-4, `decompose --weighted`
+# at levels 1-7 and `recover` on the weighted files, for a seeded input with
+# duplicates, singletons, hyperedges up to size 8 and ids above 2**16. A
+# changed digest means changed output bytes.
+PINNED_FILES = {
+    "lv1": "59fe511d4bbdfaea774b03fdf4f7d513312b1b15e3368991cfc0e265417bc06a",
+    "lv2": "5f544a55073c45d69c2bad8bbaa86dcb2438dd54ea1dfa91f7b0101941cb73f7",
+    "lv3": "3cb6ce69c943d23f27911b0c592fdd6abcef8afc894921af2a4d9f47a74163eb",
+    "lv4": "123a4b459627eac4ad77913c4a807c43d94ac2799265bc7503916278adbfac03",
+    "w1": "66e92aa303d6f013246934c2723ad94e801921b65beb7d7cd3fd921bc154e094",
+    "w2": "b8d1b5041ba869c6e901aa4806103af834d146f760353fc99d9c7f87f80faefa",
+    "w3": "39372e8135e347ea9c738e2cbac13b66d69794157f23ad63d1d8dbf48e7f4a75",
+    "w4": "f6e16237c806147edff8e97460324b569b7145473e0aa4e10e05f2581b99c77e",
+    "w5": "be1595a1f7d857ffeb257df5415473c01a9737d6f1565b9e4c4bede8d43c2ef5",
+    "w6": "e1ceda81acbb63c6e47e7396f9878bbd8bd2264cb20a687928e05b8716e21b25",
+    "w7": "b817eddd104f6a92e67bbe0485ee988f7144fc78c149ee66046b6692c2573422",
+    "recovered": "5811d249ca6d07d6b0c71830433dd64af611653f7d3fcd048ed13e7328fcae5e",
+}
+
+
+def _pinned_input(path):
+    rng = np.random.default_rng(2026)
+    pool = np.sort(rng.choice(np.arange(2**16, 2**22), size=40, replace=False))
+    edges = [
+        rng.choice(pool, size=int(size), replace=False).tolist()
+        for size in rng.choice([1, 2, 2, 3, 3, 4, 5, 6, 7, 8], size=60)
+    ]
+    edges += [edges[int(i)] for i in rng.integers(0, len(edges), size=6)]
+    path.write_text("".join(" ".join(map(str, e)) + "\n" for e in edges))
+    return str(path)
+
+
+def test_decompose_outputs_are_pinned(tmp_path):
+    src = _pinned_input(tmp_path / "in.txt")
+    argvs = {f"lv{k}": ["--level", str(k)] for k in range(1, 5)}
+    argvs.update({f"w{k}": ["--level", str(k), "--weighted"] for k in range(1, 8)})
+    for name, argv in argvs.items():
+        assert cli.main(["decompose", src, *argv, "--out", str(tmp_path / name)]) == 0
+    weighted = [str(tmp_path / f"w{k}") for k in range(1, 8)]
+    assert cli.main(["recover", *weighted, "--out", str(tmp_path / "recovered")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_FILES
+    }
+    assert digests == PINNED_FILES

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hyperdecomp.io as io_mod
 from hyperdecomp import (
     FormatError,
     RecoveryError,
@@ -292,6 +293,24 @@ def test_decomposed_graph_writers_exact_bytes(tmp_path):
     p = str(tmp_path / "u.txt")
     write_decomposed_graph(decompose_weighted(H, 2).base, p)
     assert open(p).read() == "# level=2\n0-1 0-2\n0-1 1-2\n0-2 1-2\n"
+
+
+def test_edge_writers_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch):
+    H = canonicalize([[0], [0], [0, 1, 2], [1, 12], [3, 4, 5, 6], [7], [4, 5, 6]])
+    graphs = {k: decompose_weighted(H, k) for k in (1, 2, 3)}
+
+    def written(tag):
+        out = []
+        for k, G in graphs.items():
+            write_weighted_graph(G, str(tmp_path / f"{tag}-w{k}"))
+            write_decomposed_graph(G.base, str(tmp_path / f"{tag}-u{k}"))
+            out += [(tmp_path / f"{tag}-{kind}{k}").read_bytes() for kind in "wu"]
+        return out
+
+    whole = written("whole")
+    for block in (1, 2, 5):
+        monkeypatch.setattr(io_mod, "_WRITE_BLOCK", block)
+        assert written(f"block{block}") == whole
 
 
 # --- reports and sidecars --------------------------------------------------
