@@ -85,10 +85,13 @@ def _collect(
         s = len(members)
         if s >= k and (cap is None or s <= cap):
             groups.setdefault(s, []).append(members)
-    blocks = [
-        np.array(group, dtype=np.int64)[:, list(combinations(range(s), k))]
-        for s, group in sorted(groups.items())
-    ]
+    try:
+        blocks = [
+            np.array(group, dtype=np.int64)[:, list(combinations(range(s), k))]
+            for s, group in sorted(groups.items())
+        ]
+    except OverflowError:
+        raise ValidationError(f"level {k}: a node id exceeds 2**63 - 1") from None
     shapes = [block.shape[:2] for block in blocks]
     flat = np.concatenate([b.reshape(-1, k) for b in blocks] or [np.empty((0, k), np.int64)])
     del blocks

@@ -14,6 +14,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, combinations, islice
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -464,6 +465,7 @@ class _LevelProfile:
     clustering: float | None
 
 
+@lru_cache(maxsize=8)
 def _level_profile(H: Hypergraph, level: int, sv_count: int, seed: int) -> _LevelProfile:
     G = decompose(H, DecomposeConfig.for_level(level))
     report = connected_components(G)
@@ -550,17 +552,8 @@ def evaluate(
     out: dict[int, dict[str, PatternOutcome]] = {}
     points = 0
     applicable = 0
-    # Keyed by identity, so evaluate(H, H) profiles each level once.
-    profiles: dict[tuple[int, int], _LevelProfile] = {}
-
-    def profile(H: Hypergraph, level: int) -> _LevelProfile:
-        key = (id(H), level)
-        if key not in profiles:
-            profiles[key] = _level_profile(H, level, sv_count, seed)
-        return profiles[key]
-
     for level in sorted(set(levels)):
-        rp = profile(real, level)
+        rp = _level_profile(real, level, sv_count, seed)
         if not rp.report.is_giant:
             out[level] = {
                 name: PatternOutcome(
@@ -569,7 +562,7 @@ def evaluate(
                 for name in ("P1", "P2", "P3", "P4", "P5")
             }
             continue
-        gp = profile(gen, level)
+        gp = _level_profile(gen, level, sv_count, seed)
         row = _score_level(rp, gp)
         out[level] = row
         for po in row.values():

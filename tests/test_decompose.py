@@ -201,7 +201,7 @@ def test_order_independence(pyrandom, k):
 @st.composite
 def sparse_relabeled(draw):
     """A multiset hypergraph on 0..n-1 and an order-preserving map of its
-    ids into [0, 2**32 - 1]."""
+    ids into [0, 2**63 - 1], the int64 range the core works in."""
     n = draw(st.integers(min_value=1, max_value=9))
     edge = st.lists(
         st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=min(n, 7), unique=True
@@ -209,7 +209,7 @@ def sparse_relabeled(draw):
     edges = draw(st.lists(edge, min_size=1, max_size=10))
     edges += [[draw(st.integers(0, n - 1))]]  # a singleton
     edges += draw(st.lists(st.sampled_from(edges), max_size=3))  # repeats
-    ids = st.integers(min_value=0, max_value=2**32 - 1)
+    ids = st.integers(min_value=0, max_value=2**63 - 1)
     sparse = sorted(draw(st.lists(ids, min_size=n, max_size=n, unique=True)))
     return canonicalize(edges, n=n), sparse
 
@@ -277,6 +277,20 @@ def test_subset_index_limit_raises_before_packing_overflows(monkeypatch):
         decompose(H, DecomposeConfig.for_level(1))
     with pytest.raises(ValidationError, match="packing limit"):
         decompose_weighted(H, 1)
+
+
+def test_ids_beyond_int64_raise_validation_error(tmp_path, capsys):
+    H = canonicalize([[1, 2**63 - 1], [0, 2**63]])
+    with pytest.raises(ValidationError, match="exceeds 2\\*\\*63 - 1"):
+        decompose(H, DecomposeConfig.for_level(1))
+    with pytest.raises(ValidationError, match="exceeds"):
+        decompose_weighted(H, 2)
+    src = tmp_path / "big.txt"
+    src.write_text(f"0 {2**63}\n")
+    for weighted in ([], ["--weighted"]):
+        argv = ["decompose", str(src), "--level", "1", *weighted, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: level 1: a node id exceeds")
 
 
 # --- pinned output files ---------------------------------------------------

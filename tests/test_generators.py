@@ -399,25 +399,6 @@ def test_evaluate_self_awards_every_applicable_point():
     assert card.points == card.applicable
 
 
-def test_evaluate_profiles_each_level_once_per_call(monkeypatch):
-    H = hyperpa(
-        GenParams(n=150, sizes={2: 0.5, 3: 0.5}, new_edges={1: 0.5, 2: 0.5}), seed=3
-    )
-    levels: list[int] = []
-    real_decompose = gen_mod.decompose
-
-    def counting(G, cfg):
-        levels.append(cfg.level)
-        return real_decompose(G, cfg)
-
-    monkeypatch.setattr(gen_mod, "decompose", counting)
-    first = evaluate(H, H, levels=(1, 2)).to_dict()
-    # Nothing is kept between calls, and the same object is profiled once.
-    second = evaluate(H, H, levels=(2, 1, 2)).to_dict()
-    assert levels == [1, 2, 1, 2]
-    assert first == second
-
-
 def test_evaluate_marks_shattered_levels_not_applicable():
     # Disjoint triangles never form a giant component.
     tris = canonicalize([[3 * i, 3 * i + 1, 3 * i + 2] for i in range(30)])
