@@ -105,20 +105,25 @@ class Hypergraph:
 class DecomposedGraph:
     """Simple undirected graph over k-subsets (level-k decomposition).
 
-    `nodes[i]` is the k-subset with dense index i; indices follow
-    lexicographic subset order. `edge_array` holds one row (u, v) per
-    edge with u < v, rows sorted lexicographically.
+    Row i of the read-only `nodes` is the k-subset with dense index i;
+    rows follow lexicographic subset order. `edge_array` holds one row
+    (u, v) per edge with u < v, rows sorted lexicographically.
     """
 
     level: int
-    nodes: tuple[KSubset, ...]
+    nodes: np.ndarray  # shape (N, level), int64
     edge_array: np.ndarray  # shape (E, 2), int64
 
     def __post_init__(self) -> None:
         if self.level < 1:
             raise ValidationError("level must be >= 1")
+        if not isinstance(self.nodes, np.ndarray) or self.nodes.dtype != np.int64:
+            raise ValidationError("nodes must be an int64 array")
+        if self.nodes.shape[1:] != (self.level,):
+            raise ValidationError("nodes must have shape (N, level)")
         if self.edge_array.ndim != 2 or self.edge_array.shape[1] != 2:
             raise ValidationError("edge_array must have shape (E, 2)")
+        self.nodes.setflags(write=False)
         self.edge_array.setflags(write=False)
 
     @property
@@ -128,9 +133,6 @@ class DecomposedGraph:
     @property
     def num_edges(self) -> int:
         return int(self.edge_array.shape[0])
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edge_array}
 
     @cached_property
     def _csr(self):

@@ -73,8 +73,8 @@ def _collect(
     k: int,
     cap: int | None,
     with_counts: bool,
-) -> tuple[np.ndarray, DecomposedGraph, np.ndarray | None]:
-    """Shared enumeration core: sorted subsets, graph, containment counts.
+) -> tuple[DecomposedGraph, np.ndarray | None]:
+    """Shared enumeration core: the graph and its containment counts.
 
     Hyperedges are grouped by size s; each group becomes an (m_s, s) block
     whose k-subsets are taken with one index pattern. Subsets and pair keys
@@ -134,15 +134,12 @@ def _collect(
     edge_array = np.empty((len(keys), 2), dtype=np.int64)
     np.right_shift(keys, 32, out=edge_array[:, 0])
     np.bitwise_and(keys, 0xFFFFFFFF, out=edge_array[:, 1])
-    # Zipping the columns makes half the Python objects that rows would.
-    graph = DecomposedGraph(level=k, nodes=tuple(zip(*nodes.T.tolist())), edge_array=edge_array)
-    return nodes, graph, counts
+    return DecomposedGraph(level=k, nodes=nodes, edge_array=edge_array), counts
 
 
 def decompose(H: Hypergraph, cfg: DecomposeConfig) -> DecomposedGraph:
     """Build the level-k decomposed graph under the configured size cap."""
-    _, graph, _ = _collect(H.member_tuples(), cfg.level, cfg.max_edge_size, with_counts=False)
-    return graph
+    return _collect(H.member_tuples(), cfg.level, cfg.max_edge_size, with_counts=False)[0]
 
 
 def decompose_weighted(H: Hypergraph, k: int) -> WeightedDecomposedGraph:
@@ -155,11 +152,11 @@ def decompose_weighted(H: Hypergraph, k: int) -> WeightedDecomposedGraph:
     if k < 1:
         raise ValidationError("level must be >= 1")
     members = H.member_tuples()
-    nodes, base, counts = _collect(members, k, cap=None, with_counts=True)
+    base, counts = _collect(members, k, cap=None, with_counts=True)
     self_loops: dict[int, int] = {}
     if k == 1:
         singles = np.array([m[0] for m in members if len(m) == 1], dtype=np.int64)
-        hits = np.bincount(np.searchsorted(nodes[:, 0], singles), minlength=len(nodes))
+        hits = np.bincount(np.searchsorted(base.nodes[:, 0], singles), minlength=base.num_nodes)
         self_loops = {int(i): int(hits[i]) for i in np.flatnonzero(hits)}
     assert counts is not None
     return WeightedDecomposedGraph(base=base, weights=counts, self_loops=self_loops)

@@ -150,10 +150,6 @@ def write_line_format(H: Hypergraph, path: str) -> None:
             fh.write(line + "\n")
 
 
-def _subset_str(subset: KSubset) -> str:
-    return "-".join(str(v) for v in subset)
-
-
 def _parse_subset(tok: str, path: str, lineno: int) -> KSubset:
     try:
         parts = tuple(int(p) for p in tok.split("-"))
@@ -163,6 +159,8 @@ def _parse_subset(tok: str, path: str, lineno: int) -> KSubset:
         raise FormatError(path, lineno, f"bad subset token {tok!r}")
     if tuple(sorted(set(parts))) != parts:
         raise FormatError(path, lineno, f"subset {tok!r} is not sorted and distinct")
+    if parts[-1] >= 2**63:  # ids are stored as int64
+        raise FormatError(path, lineno, f"subset {tok!r} has an id above 2**63 - 1")
     return parts
 
 
@@ -182,7 +180,7 @@ def _write_edges(
     With weights, each edge line ends in its weight and a `node` line lists
     every node that lies on no edge, so the file keeps all of the nodes.
     """
-    labels = [_subset_str(s) for s in base.nodes]
+    labels = ["-".join(map(str, s)) for s in base.nodes.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level={base.level}\n")
         for start in range(0, base.num_edges, _WRITE_BLOCK):
@@ -239,8 +237,9 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
                             level = int(tok[6:])
                         except ValueError:
                             raise FormatError(path, lineno, f"bad level {tok!r}")
-                        if level < 1:
-                            raise FormatError(path, lineno, f"level {level} < 1")
+                        # A row of `level` int64 ids must fit numpy's 2**63-byte limit.
+                        if not 1 <= level < 2**60:
+                            raise FormatError(path, lineno, f"level {level} not in 1..2**60 - 1")
                 continue
             if toks[0] == "node":
                 if len(toks) != 2:
@@ -265,8 +264,8 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
                 w = int(toks[2])
             except ValueError:
                 raise FormatError(path, lineno, f"bad weight {toks[2]!r}")
-            if w < 1:
-                raise FormatError(path, lineno, f"weight must be positive, got {w}")
+            if not 1 <= w < 2**63:
+                raise FormatError(path, lineno, f"weight must be positive and < 2**63, got {w}")
             edges.append((u, v, w, lineno))
     if level is None:
         raise FormatError(path, 1, "missing '# level=<k>' header")
@@ -274,16 +273,19 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
     for s, lineno in zip(subsets, first_lines):
         if len(s) != level:
             raise FormatError(path, lineno, f"subset {s} does not match level {level}")
-    nodes = tuple(sorted(set(subsets)))
-    index = {s: i for i, s in enumerate(nodes)}
-    node_of = np.array([index[s] for s in subsets], dtype=np.int64)
+    rows = np.array(subsets, dtype=np.int64).reshape(-1, level)
+    nodes, node_of = rows, np.empty(0, dtype=np.int64)
+    if subsets:  # np.unique(axis=0) builds one field per column, even for no rows
+        nodes, inverse = np.unique(rows, axis=0, return_inverse=True)
+        node_of = inverse.ravel()
 
     table = np.array(edges, dtype=np.int64).reshape(-1, 4)
     u, v, lines = node_of[table[:, 0]], node_of[table[:, 1]], table[:, 3]
     same = np.flatnonzero(u == v)
     if same.size:
         i = int(same[0])
-        raise FormatError(path, int(lines[i]), f"self pair {nodes[u[i]]} listed as an edge")
+        pair = tuple(nodes[u[i]].tolist())
+        raise FormatError(path, int(lines[i]), f"self pair {pair} listed as an edge")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((lines, hi, lo))
     lo, hi, lines = lo[order], hi[order], lines[order]

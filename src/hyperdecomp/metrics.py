@@ -28,7 +28,6 @@ __all__ = [
     "degree_histogram",
     "effective_diameter",
     "clustering_coefficient",
-    "transitivity",
     "SingularSpectrum",
     "singular_values",
     "GIANT_RATIO",
@@ -226,18 +225,6 @@ def clustering_coefficient(G: DecomposedGraph) -> float:
     mask = denom > 0
     local[mask] = 2.0 * tri[mask] / denom[mask]
     return float(local.mean())
-
-
-def transitivity(G: DecomposedGraph) -> float:
-    """Global ratio 3 * triangles / wedges; zero when no wedge exists."""
-    if G.num_nodes == 0:
-        raise MetricError("transitivity undefined on an empty graph")
-    deg = G.degrees().astype(np.int64)
-    wedges = int((deg * (deg - 1) // 2).sum())
-    if wedges == 0:
-        return 0.0
-    closed = int(_triangle_counts(G).sum())  # 3 * triangles
-    return float(closed / wedges)
 
 
 @dataclass(frozen=True)

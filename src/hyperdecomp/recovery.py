@@ -29,8 +29,20 @@ class RecoveryError(ValueError):
 
 
 def _edge(G: WeightedDecomposedGraph, row: int) -> tuple[KSubset, KSubset]:
-    u, v = G.base.edge_array[row]
-    return G.base.nodes[int(u)], G.base.nodes[int(v)]
+    return tuple(map(tuple, G.base.nodes[G.base.edge_array[row]].tolist()))
+
+
+def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index in `table` of each of the distinct `rows`, or -1 where absent."""
+    both = np.concatenate([table, rows])
+    # A stable sort puts each of `rows` right after its equal row of `table`.
+    order = np.lexsort(both.T[::-1])
+    at = np.flatnonzero(order >= len(table))
+    prev = order[at - 1]
+    same = (at > 0) & np.all(both[order[at]] == both[prev], axis=1)
+    pos = np.empty(len(rows), dtype=np.int64)
+    pos[order[at] - len(table)] = np.where(same, prev, -1)
+    return pos
 
 
 def _subtract(G: WeightedDecomposedGraph, S: WeightedDecomposedGraph) -> np.ndarray:
@@ -39,9 +51,8 @@ def _subtract(G: WeightedDecomposedGraph, S: WeightedDecomposedGraph) -> np.ndar
     keys = ends[:, 0] * N + ends[:, 1]
     if np.any(ends[:, 0] >= ends[:, 1]) or np.any(np.diff(keys) <= 0):
         raise ValidationError(f"level {G.level}: edge rows must be distinct, sorted, u < v")
-    # Both node lists are sorted, so the node map is monotone and keeps u < v.
-    index = dict(zip(G.base.nodes, range(N)))
-    pos = np.fromiter((index.get(s, -1) for s in S.base.nodes), np.int64, S.base.num_nodes)
+    # Both node arrays are sorted, so the node map is monotone and keeps u < v.
+    pos = _find_rows(G.base.nodes, S.base.nodes)
     u, v = pos[S.base.edge_array[:, 0]], pos[S.base.edge_array[:, 1]]
     at = np.searchsorted(keys, u * N + v)
     # Edges G lacks point at one extra slot of weight 0, which then underflows.
@@ -58,13 +69,11 @@ def _subtract(G: WeightedDecomposedGraph, S: WeightedDecomposedGraph) -> np.ndar
     return left[:-1]
 
 
-def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[list[KSubset], list[int]]:
+def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Size-(k+1) hyperedges and multiplicities that consume the residual."""
-    size, nodes = G.level + 1, G.base.nodes
+    size = G.level + 1
     rows = np.flatnonzero(resid)
-    pairs = G.base.edge_array[rows].tolist()
-    both = np.array([nodes[u] + nodes[v] for u, v in pairs], dtype=np.int64)
-    both = np.sort(both.reshape(-1, 2 * G.level), axis=1)
+    both = np.sort(G.base.nodes[G.base.edge_array[rows]].reshape(-1, 2 * G.level), axis=1)
     fresh = np.ones(both.shape, dtype=bool)
     fresh[:, 1:] = both[:, 1:] != both[:, :-1]
     wrong = np.flatnonzero(fresh.sum(axis=1) != size)
@@ -86,7 +95,7 @@ def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[list[KSubset],
         raise RecoveryError(
             G.level, f"edge {edge} implies {union} x{mults[j]}; its clique disagrees"
         )
-    return [tuple(u) for u in unions.tolist()], mults.tolist()
+    return unions, mults.tolist()
 
 
 def recover(
@@ -113,7 +122,7 @@ def recover(
     missing = [k for k in range(1, max_size) if k not in graphs]
     if missing:
         raise ValidationError(f"missing decomposition levels: {missing}")
-    max_id = max((s[-1] for G in graphs.values() for s in G.base.nodes if s), default=-1)
+    max_id = max(int(G.base.nodes.max(initial=-1)) for G in graphs.values())
     if max_id < 0:
         raise ValidationError("decompositions contain no nodes")
     n = max_id + 1
@@ -124,19 +133,23 @@ def recover(
             larger = decompose_weighted(Hypergraph(n, tuple(edges)), size - 1)
             found, mults = _peel(graphs[size - 1], _subtract(graphs[size - 1], larger))
         else:
-            found = [graphs[1].base.nodes[i] for i in sorted(graphs[1].self_loops)]
-            mults = [graphs[1].self_loops[i] for i in sorted(graphs[1].self_loops)]
-            if any(count < 1 for count in mults):
-                count, node = min(zip(mults, found))
-                raise RecoveryError(1, f"self-loop count {count} on node {node}")
+            at = sorted(graphs[1].self_loops)
+            found, mults = graphs[1].base.nodes[at], [graphs[1].self_loops[i] for i in at]
+            if mults and min(mults) < 1:
+                j = mults.index(min(mults))
+                node = tuple(found[j].tolist())
+                raise RecoveryError(1, f"self-loop count {mults[j]} on node {node}")
         if size < max_size:
-            # A node on no edge of the level above must be a size-`size`
-            # hyperedge. (Weighted files list such nodes on `node` lines.)
+            # Nodes on no edge of the level above (`node` lines in files) must
+            # be size-`size` hyperedges, and each such hyperedge a node there.
             above = graphs[size].base
-            lone = {above.nodes[i] for i in np.flatnonzero(above.degrees() == 0)}
-            odd = lone - set(found)
+            lone = above.nodes[above.degrees() == 0]
+            odd = lone[_find_rows(found, lone) < 0].tolist()
             if odd:
-                raise RecoveryError(size, f"node {min(odd)} lies on no edge or hyperedge")
-        for members, mult in zip(found, mults):
-            edges.extend(Hyperedge(members) for _ in range(mult))
+                raise RecoveryError(size, f"node {tuple(odd[0])} lies on no edge or hyperedge")
+            odd = found[_find_rows(above.nodes, found) < 0].tolist()
+            if odd:
+                raise RecoveryError(size, f"hyperedge {tuple(odd[0])} is missing from the nodes")
+        for members, mult in zip(found.tolist(), mults):
+            edges.extend(Hyperedge(tuple(members)) for _ in range(mult))
     return Hypergraph(n=n, edges=tuple(edges))

@@ -39,7 +39,7 @@ from hyperdecomp import (
 from hyperdecomp.decompose import HIGHER_LEVEL_CAP, NODE_LEVEL_CAP
 
 from conftest import load_dataset, random_hypergraph
-from test_decompose import edge_pairs, oracle_unweighted, oracle_weighted
+from test_decompose import edge_pairs, oracle_unweighted, oracle_weighted, subsets, weight_map
 from test_metrics import random_graph
 
 MINUTES_BUDGET = 900.0  # generous bound for the criteria stated as "minutes"
@@ -78,19 +78,15 @@ def test_criterion_03_oracle_equivalence():
             cap = NODE_LEVEL_CAP if k == 1 else HIGHER_LEVEL_CAP
             G = decompose(H, DecomposeConfig.for_level(k))
             nodes, edges = oracle_unweighted(members, k, cap)
-            assert list(G.nodes) == nodes
+            assert subsets(G) == nodes
             assert edge_pairs(G) == edges
 
             W = decompose_weighted(H, k)
             wnodes, wedges, loops = oracle_weighted(members, k)
-            assert list(W.base.nodes) == wnodes
-            got = {
-                (W.base.nodes[int(u)], W.base.nodes[int(v)]): int(w)
-                for (u, v), w in zip(W.base.edge_array, W.weights)
-            }
-            assert got == wedges
+            assert subsets(W.base) == wnodes
+            assert weight_map(W) == wedges
             if k == 1:
-                assert {W.base.nodes[i]: c for i, c in W.self_loops.items()} == loops
+                assert {wnodes[i]: c for i, c in W.self_loops.items()} == loops
             else:
                 assert not W.self_loops
     assert time.perf_counter() - start < 30.0

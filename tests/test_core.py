@@ -91,22 +91,32 @@ def test_dedup_keeps_earliest_timestamp_and_first_seen_order():
 
 
 def test_decomposed_graph_validation_and_accessors():
-    nodes = ((0,), (1,), (2,))
+    nodes = np.array([[0], [1], [2]], dtype=np.int64)
     arr = np.array([[0, 1], [1, 2]], dtype=np.int64)
     G = DecomposedGraph(level=1, nodes=nodes, edge_array=arr)
     assert G.num_nodes == 3 and G.num_edges == 2
-    assert G.edge_set() == {(0, 1), (1, 2)}
+    assert G.edge_array.tolist() == [[0, 1], [1, 2]]
     assert G.degrees().tolist() == [1, 2, 1]
     adj = G.adjacency_csr()
     assert (adj != adj.T).nnz == 0
+    for array in (G.nodes, G.edge_array):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 5
     with pytest.raises(ValidationError):
         DecomposedGraph(level=0, nodes=nodes, edge_array=arr)
     with pytest.raises(ValidationError):
         DecomposedGraph(level=1, nodes=nodes, edge_array=np.zeros((2, 3), dtype=np.int64))
+    # Nodes must be one int64 row per subset, as wide as the level.
+    wrong = [nodes.ravel(), nodes.astype(np.int32), ((0,), (1,), (2,)), nodes[:, None]]
+    for bad in wrong:
+        with pytest.raises(ValidationError):
+            DecomposedGraph(level=1, nodes=bad, edge_array=arr)
+    with pytest.raises(ValidationError):
+        DecomposedGraph(level=2, nodes=nodes, edge_array=arr)
 
 
 def test_weighted_graph_validation():
-    nodes = ((0,), (1,))
+    nodes = np.array([[0], [1]], dtype=np.int64)
     arr = np.array([[0, 1]], dtype=np.int64)
     base = DecomposedGraph(level=1, nodes=nodes, edge_array=arr)
     G = WeightedDecomposedGraph(base=base, weights=np.array([2], dtype=np.int64))
@@ -116,7 +126,9 @@ def test_weighted_graph_validation():
     with pytest.raises(ValidationError):
         WeightedDecomposedGraph(base=base, weights=np.array([1, 1], dtype=np.int64))
     base2 = DecomposedGraph(
-        level=2, nodes=((0, 1), (1, 2)), edge_array=np.array([[0, 1]], dtype=np.int64)
+        level=2,
+        nodes=np.array([[0, 1], [1, 2]], dtype=np.int64),
+        edge_array=np.array([[0, 1]], dtype=np.int64),
     )
     with pytest.raises(ValidationError):
         WeightedDecomposedGraph(
@@ -158,7 +170,8 @@ def simple_graphs(draw):
         else set()
     )
     arr = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    return DecomposedGraph(level=1, nodes=tuple((i,) for i in range(n)), edge_array=arr)
+    nodes = np.arange(n, dtype=np.int64).reshape(-1, 1)
+    return DecomposedGraph(level=1, nodes=nodes, edge_array=arr)
 
 
 @settings(max_examples=60, deadline=None)

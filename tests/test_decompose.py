@@ -57,9 +57,21 @@ def oracle_weighted(member_tuples, k):
     return nodes, weights, loops
 
 
+def subsets(G):
+    """The rows of G.nodes as tuples, in index order."""
+    return [tuple(s) for s in G.nodes.tolist()]
+
+
 def edge_pairs(G):
+    nodes = subsets(G)
+    return {(nodes[u], nodes[v]) for u, v in G.edge_array.tolist()}
+
+
+def weight_map(W):
+    nodes = subsets(W.base)
     return {
-        (G.nodes[int(u)], G.nodes[int(v)]) for u, v in G.edge_array
+        (nodes[u], nodes[v]): w
+        for (u, v), w in zip(W.base.edge_array.tolist(), W.weights.tolist())
     }
 
 
@@ -110,7 +122,7 @@ def test_size_5_hyperedge_across_levels():
 def test_nodes_sorted_and_edges_canonical():
     H = canonicalize([[4, 2, 9], [2, 9, 7]])
     G = decompose(H, DecomposeConfig.for_level(2))
-    assert list(G.nodes) == sorted(G.nodes)
+    assert subsets(G) == sorted(subsets(G))
     arr = G.edge_array
     assert np.all(arr[:, 0] < arr[:, 1])
     rows = [tuple(r) for r in arr.tolist()]
@@ -126,7 +138,7 @@ def test_oracle_equivalence_random():
             cap = int(rng.integers(k, 9))
             G = decompose(H, DecomposeConfig(level=k, max_edge_size=cap))
             nodes, edges = oracle_unweighted(members, k, cap)
-            assert list(G.nodes) == nodes
+            assert subsets(G) == nodes
             assert edge_pairs(G) == edges
 
 
@@ -138,14 +150,10 @@ def test_weighted_oracle_equivalence_random():
         for k in (1, 2, 3):
             W = decompose_weighted(H, k)
             nodes, weights, loops = oracle_weighted(members, k)
-            assert list(W.base.nodes) == nodes
-            got = {
-                (W.base.nodes[int(u)], W.base.nodes[int(v)]): int(w)
-                for (u, v), w in zip(W.base.edge_array, W.weights)
-            }
-            assert got == weights
+            assert subsets(W.base) == nodes
+            assert weight_map(W) == weights
             if k == 1:
-                got_loops = {W.base.nodes[i]: c for i, c in W.self_loops.items()}
+                got_loops = {nodes[i]: c for i, c in W.self_loops.items()}
                 assert got_loops == loops
             else:
                 assert W.self_loops == {}
@@ -154,17 +162,13 @@ def test_weighted_oracle_equivalence_random():
 def test_weighted_counts_duplicate_hyperedges():
     H = canonicalize([[0, 1, 2], [0, 1, 2], [0, 1]])
     W = decompose_weighted(H, 1)
-    got = {
-        (W.base.nodes[int(u)], W.base.nodes[int(v)]): int(w)
-        for (u, v), w in zip(W.base.edge_array, W.weights)
-    }
-    assert got == {((0,), (1,)): 3, ((0,), (2,)): 2, ((1,), (2,)): 2}
+    assert weight_map(W) == {((0,), (1,)): 3, ((0,), (2,)): 2, ((1,), (2,)): 2}
 
 
 def test_weighted_self_loops_from_singletons():
     H = canonicalize([[3], [3], [0, 3], [1]])
     W = decompose_weighted(H, 1)
-    loops = {W.base.nodes[i]: c for i, c in W.self_loops.items()}
+    loops = {subsets(W.base)[i]: c for i, c in W.self_loops.items()}
     assert loops == {(3,): 2, (1,): 1}
 
 
@@ -179,7 +183,7 @@ def test_monotone_under_added_hyperedge():
             cfg = DecomposeConfig.for_level(k)
             small = decompose(H, cfg)
             large = decompose(extra, cfg)
-            assert set(small.nodes) <= set(large.nodes)
+            assert set(subsets(small)) <= set(subsets(large))
             assert edge_pairs(small) <= edge_pairs(large)
 
 
@@ -194,7 +198,7 @@ def test_order_independence(pyrandom, k):
     H2 = canonicalize(shuffled, n=H.n)
     cfg = DecomposeConfig.for_level(k)
     G1, G2 = decompose(H, cfg), decompose(H2, cfg)
-    assert G1.nodes == G2.nodes
+    assert np.array_equal(G1.nodes, G2.nodes)
     assert np.array_equal(G1.edge_array, G2.edge_array)
 
 
@@ -221,29 +225,25 @@ def test_core_commutes_with_sparse_relabeling(case, k, extra_cap):
     S = canonicalize([[sparse[v] for v in e] for e in H.member_tuples()])
     cap = k + extra_cap
 
-    def relabel(nodes):
-        return tuple(tuple(sparse[v] for v in subset) for subset in nodes)
+    def relabel(G):
+        return [tuple(sparse[v] for v in subset) for subset in subsets(G)]
 
     G, GS = (decompose(X, DecomposeConfig(level=k, max_edge_size=cap)) for X in (H, S))
-    assert GS.nodes == relabel(G.nodes)
+    assert subsets(GS) == relabel(G)
     assert np.array_equal(GS.edge_array, G.edge_array)
     W, WS = decompose_weighted(H, k), decompose_weighted(S, k)
-    assert WS.base.nodes == relabel(W.base.nodes)
+    assert subsets(WS.base) == relabel(W.base)
     assert np.array_equal(WS.base.edge_array, W.base.edge_array)
     assert np.array_equal(WS.weights, W.weights)
     assert WS.self_loops == W.self_loops
 
     members = H.member_tuples()
     nodes, edges = oracle_unweighted(members, k, cap)
-    assert list(G.nodes) == nodes and edge_pairs(G) == edges
+    assert subsets(G) == nodes and edge_pairs(G) == edges
     nodes, weights, loops = oracle_weighted(members, k)
-    assert list(W.base.nodes) == nodes
-    got = {
-        (W.base.nodes[int(u)], W.base.nodes[int(v)]): int(w)
-        for (u, v), w in zip(W.base.edge_array, W.weights)
-    }
-    assert got == weights
-    assert {W.base.nodes[i]: c for i, c in W.self_loops.items()} == (loops if k == 1 else {})
+    assert subsets(W.base) == nodes
+    assert weight_map(W) == weights
+    assert {nodes[i]: c for i, c in W.self_loops.items()} == (loops if k == 1 else {})
 
 
 def test_weighted_topology_matches_uncapped_unweighted():
@@ -252,7 +252,7 @@ def test_weighted_topology_matches_uncapped_unweighted():
     for k in (1, 2, 3):
         W = decompose_weighted(H, k)
         G = decompose(H, DecomposeConfig(level=k, max_edge_size=10**6))
-        assert W.base.nodes == G.nodes
+        assert np.array_equal(W.base.nodes, G.nodes)
         assert np.array_equal(W.base.edge_array, G.edge_array)
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperdecomp.io as io_mod
 from hyperdecomp import (
@@ -151,7 +153,7 @@ def test_weighted_graph_roundtrip(tmp_path):
         write_weighted_graph(G, p)
         back = read_weighted_graph(p)
         assert back.base.level == G.base.level
-        assert back.base.nodes == G.base.nodes
+        assert np.array_equal(back.base.nodes, G.base.nodes)
         assert np.array_equal(back.base.edge_array, G.base.edge_array)
         assert np.array_equal(back.weights, G.weights)
         assert back.self_loops == G.self_loops
@@ -177,7 +179,7 @@ def test_weighted_graph_files_keep_nodes_on_no_edge(tmp_path):
         p = str(tmp_path / f"g{level}.txt")
         write_weighted_graph(G, p)
         back = graphs[level] = read_weighted_graph(p)
-        assert back.base.nodes == G.base.nodes
+        assert back.base.nodes.tolist() == G.base.nodes.tolist()
         assert np.array_equal(back.base.edge_array, G.base.edge_array)
         assert np.array_equal(back.weights, G.weights)
         assert back.self_loops == G.self_loops
@@ -216,6 +218,11 @@ def test_weighted_graph_header_required(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert exc.value.line == 2
+    # No subset can be that wide, and no int64 array can have that shape.
+    p = write(tmp_path / "g9.txt", f"\n# level={2**63}\n")
+    with pytest.raises(FormatError, match="2\\*\\*60") as exc:
+        read_weighted_graph(p)
+    assert exc.value.line == 2
 
 
 def test_weighted_graph_subset_errors(tmp_path):
@@ -233,6 +240,10 @@ def test_weighted_graph_subset_errors(tmp_path):
         read_weighted_graph(p)
     assert "level 2" in str(exc.value)
     assert exc.value.line == 2
+    p = write(tmp_path / "g6.txt", f"# level=2\n0-1 1-2 1\nnode 1-{2**63}\n")
+    with pytest.raises(FormatError, match="2\\*\\*63") as exc:
+        read_weighted_graph(p)
+    assert exc.value.line == 3
     p = write(tmp_path / "g5.txt", "# level=2\n0-1 1-2 1\n0-1-2 0-1 1\n")
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
@@ -250,6 +261,10 @@ def test_weighted_graph_weight_and_structure_errors(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert "positive" in str(exc.value)
+    assert exc.value.line == 2
+    p = write(tmp_path / "g1.txt", f"# level=1\n0 1 {2**63}\n")
+    with pytest.raises(FormatError, match="2\\*\\*63") as exc:
+        read_weighted_graph(p)
     assert exc.value.line == 2
     p = write(tmp_path / "g2.txt", "# level=1\n0 1 2\n1 0 1\n")
     with pytest.raises(FormatError) as exc:
@@ -311,6 +326,69 @@ def test_edge_writers_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch):
     for block in (1, 2, 5):
         monkeypatch.setattr(io_mod, "_WRITE_BLOCK", block)
         assert written(f"block{block}") == whole
+
+
+# --- malformed input -------------------------------------------------------
+
+# Each reader with one valid file for each path it takes.
+_READERS = {
+    "line": (read_line_format, ["0 1 t=3\n# note\n2 t=4\n"]),
+    "weighted": (read_weighted_graph, ["# level=1\n0 1 2\n0 2 1\nnode 5\nselfloop 0 3\n"]),
+    "simplex": (read_simplex_format, ["2\n1\n", "0 1\n2\n", "5\n6\n"]),
+}
+# Tokens on the edges of what the readers accept.
+_EDGE_TOKENS = [
+    "-1", "0", "2", str(2**63 - 1), str(2**63), str(10**30), "1-0", "0-0", "0-1-2",
+    "x", "1.5", "", "#", "node", "selfloop", "level=2", f"level={2**63}", "t=", "t=1",
+]
+
+
+def _parses_or_raises_format_error(read, paths):
+    try:
+        read(*paths)
+    except FormatError as exc:
+        assert exc.path in paths and exc.line >= 1
+        assert str(exc).startswith(f"{exc.path}:{exc.line}: ")
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+def test_single_token_mutants_raise_only_format_errors(tmp_path, name):
+    read, seeds = _READERS[name]
+    for k, seed in enumerate(seeds):
+        lines = [line.split(" ") for line in seed.splitlines()]
+        for i, line in enumerate(lines):
+            for j in range(len(line)):
+                for tok in _EDGE_TOKENS:
+                    mutant = [list(toks) for toks in lines]
+                    mutant[i][j] = tok
+                    texts = list(seeds)
+                    texts[k] = "".join(" ".join(toks) + "\n" for toks in mutant)
+                    paths = [write(tmp_path / f"f{n}.txt", t) for n, t in enumerate(texts)]
+                    _parses_or_raises_format_error(read, paths)
+
+
+_NUMBERS = st.one_of(
+    st.integers(min_value=-2, max_value=9), st.sampled_from([2**63 - 1, 2**63, 10**30])
+)
+_TOKENS = st.one_of(
+    _NUMBERS.map(str),
+    st.lists(_NUMBERS, min_size=1, max_size=3).map(lambda ids: "-".join(map(str, ids))),
+    st.tuples(st.sampled_from(["level=", "t="]), _NUMBERS).map(lambda t: f"{t[0]}{t[1]}"),
+    st.sampled_from(["#", "node", "selfloop", "t=", "x", "1.5", "-", ","]),
+)
+_FILES = st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=8).map(
+    lambda lines: "".join(line + "\n" for line in lines)
+)
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_random_files_raise_only_format_errors(tmp_path_factory, name, data):
+    read, seeds = _READERS[name]
+    folder = tmp_path_factory.getbasetemp()
+    paths = [write(folder / f"fuzz-{name}-{i}.txt", data.draw(_FILES)) for i in range(len(seeds))]
+    _parses_or_raises_format_error(read, paths)
 
 
 # --- reports and sidecars --------------------------------------------------

@@ -16,11 +16,15 @@ from hyperdecomp import (
     degree_histogram,
     effective_diameter,
     singular_values,
-    transitivity,
 )
 from hyperdecomp.core import DecomposedGraph
 from hyperdecomp import metrics as metrics_mod
 from hyperdecomp.metrics import GIANT_RATIO
+
+
+def ids(n):
+    """Level-1 nodes 0..n-1 as an (n, 1) array."""
+    return np.arange(n, dtype=np.int64).reshape(-1, 1)
 
 
 def graph_from_pairs(pairs, extra_isolated=0):
@@ -28,9 +32,7 @@ def graph_from_pairs(pairs, extra_isolated=0):
     H = canonicalize([list(p) for p in pairs])
     G = decompose(H, DecomposeConfig.for_level(1))
     if extra_isolated:
-        nodes = G.nodes + tuple(
-            (max(n[0] for n in G.nodes) + 1 + i,) for i in range(extra_isolated)
-        )
+        nodes = np.concatenate([G.nodes, G.nodes.max() + 1 + ids(extra_isolated)])
         G = DecomposedGraph(level=1, nodes=nodes, edge_array=G.edge_array)
     return G
 
@@ -118,7 +120,7 @@ def test_single_component_counts_one_node_as_second():
 
 
 def test_components_empty_graph():
-    G = DecomposedGraph(level=1, nodes=(), edge_array=np.empty((0, 2), dtype=np.int64))
+    G = DecomposedGraph(level=1, nodes=ids(0), edge_array=np.empty((0, 2), dtype=np.int64))
     rep = connected_components(G)
     assert rep.sizes == () and not rep.is_giant
 
@@ -175,7 +177,7 @@ def test_effective_diameter_sampled_close_on_random_graph():
 
 
 def test_effective_diameter_errors():
-    G = DecomposedGraph(level=1, nodes=((0,),), edge_array=np.empty((0, 2), dtype=np.int64))
+    G = DecomposedGraph(level=1, nodes=ids(1), edge_array=np.empty((0, 2), dtype=np.int64))
     with pytest.raises(MetricError):
         effective_diameter(G)
     K2 = graph_from_pairs([(0, 1)])
@@ -211,7 +213,6 @@ def test_clustering_closed_forms():
     assert clustering_coefficient(star) == 0.0
     paw = graph_from_pairs([(0, 1), (1, 2), (0, 2), (0, 3)])
     assert clustering_coefficient(paw) == pytest.approx(7 / 12)
-    assert transitivity(paw) == pytest.approx(0.6)
 
 
 def test_clustering_matches_brute_force():
@@ -228,11 +229,11 @@ def test_clustering_counts_low_degree_nodes_in_mean():
 
 
 def test_clustering_errors_and_degenerate():
-    G = DecomposedGraph(level=1, nodes=(), edge_array=np.empty((0, 2), dtype=np.int64))
+    G = DecomposedGraph(level=1, nodes=ids(0), edge_array=np.empty((0, 2), dtype=np.int64))
     with pytest.raises(MetricError):
         clustering_coefficient(G)
     lonely = DecomposedGraph(
-        level=1, nodes=((0,), (1,)), edge_array=np.empty((0, 2), dtype=np.int64)
+        level=1, nodes=ids(2), edge_array=np.empty((0, 2), dtype=np.int64)
     )
     assert clustering_coefficient(lonely) == 0.0
 
@@ -271,10 +272,10 @@ def test_singular_values_validation_and_edge_cases():
     with pytest.raises(ValidationError):
         singular_values(K2, m=0)
     empty = DecomposedGraph(
-        level=1, nodes=((0,), (1,), (2,)), edge_array=np.empty((0, 2), dtype=np.int64)
+        level=1, nodes=ids(3), edge_array=np.empty((0, 2), dtype=np.int64)
     )
     assert singular_values(empty, m=2).values == (0.0, 0.0)
-    none = DecomposedGraph(level=1, nodes=(), edge_array=np.empty((0, 2), dtype=np.int64))
+    none = DecomposedGraph(level=1, nodes=ids(0), edge_array=np.empty((0, 2), dtype=np.int64))
     assert singular_values(none, m=3).values == ()
 
 
@@ -299,7 +300,7 @@ def path_graph(n):
     u = np.arange(n - 1, dtype=np.int64)
     return DecomposedGraph(
         level=1,
-        nodes=tuple((i,) for i in range(n)),
+        nodes=ids(n),
         edge_array=np.stack([u, u + 1], axis=1),
     )
 

@@ -16,6 +16,8 @@ from hyperdecomp import (
     decompose_weighted,
     recover,
 )
+from hyperdecomp.recovery import _subtract
+
 from conftest import random_hypergraph
 
 
@@ -155,6 +157,13 @@ def test_isolated_node_without_hyperedge_is_detected():
         recover(graphs)
     assert exc.value.level == 1
     assert "(0,)" in str(exc.value)
+    # The mirror case: a size-3 hyperedge that is not a level-3 node.
+    graphs = stack(canonicalize([[0, 1, 2, 3], [4, 5, 6]]))
+    base = graphs[3].base
+    trimmed = DecomposedGraph(level=3, nodes=base.nodes[:-1], edge_array=base.edge_array)
+    graphs[3] = WeightedDecomposedGraph(base=trimmed, weights=graphs[3].weights)
+    with pytest.raises(RecoveryError, match=r"\(4, 5, 6\) is missing"):
+        recover(graphs)
 
 
 def test_unsorted_edge_rows_are_rejected():
@@ -197,8 +206,26 @@ def test_roundtrip_random_hypergraphs(seed):
 
 
 def _perturbed(graphs, kind, delta, pick):
-    """Copy of `graphs` with one weight, edge row or self-loop count changed."""
+    """Copy of `graphs` with one weight, edge row, node row or self-loop count changed."""
     out = dict(graphs)
+    # Dropping a level's only node could leave no node at any level.
+    several = [k for k in sorted(graphs) if graphs[k].base.num_nodes > 1]
+    if kind == "node" and several:
+        # Drop one node and the edges on it, so subsets of the larger
+        # hyperedges' decomposition can be missing from the graph.
+        k = several[pick % len(several)]
+        G = graphs[k]
+        gone = pick % G.base.num_nodes
+        ends = G.base.edge_array
+        keep = ~np.any(ends == gone, axis=1)
+        base = DecomposedGraph(
+            level=k,
+            nodes=np.delete(G.base.nodes, gone, axis=0),
+            edge_array=ends[keep] - (ends[keep] > gone),
+        )
+        loops = {i - (i > gone): c for i, c in G.self_loops.items() if i != gone}
+        out[k] = WeightedDecomposedGraph(base=base, weights=G.weights[keep], self_loops=loops)
+        return out
     with_edges = [k for k in sorted(graphs) if graphs[k].base.num_edges]
     if kind == "selfloop" or not with_edges:
         G = graphs[1]
@@ -224,7 +251,7 @@ def _perturbed(graphs, kind, delta, pick):
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
-    st.sampled_from(["weight", "drop", "selfloop"]),
+    st.sampled_from(["weight", "drop", "node", "selfloop"]),
     st.sampled_from([-1, 1, 2]),
     st.integers(min_value=0, max_value=10_000),
 )
@@ -239,7 +266,40 @@ def test_perturbed_input_raises_or_recovers_an_exact_preimage(seed, kind, delta,
         return
     for k, G in graphs.items():
         D = decompose_weighted(R, k)
-        assert D.base.nodes == G.base.nodes
+        assert np.array_equal(D.base.nodes, G.base.nodes)
         assert np.array_equal(D.base.edge_array, G.base.edge_array)
         assert np.array_equal(D.weights, G.weights)
         assert D.self_loops == G.self_loops
+
+
+def subtract_by_dict(G, S):
+    """G's weights minus S's through dicts over subsets and edges, as
+    recovery once mapped them; None where S needs more than G holds."""
+    index = {s: i for i, s in enumerate(map(tuple, G.base.nodes.tolist()))}
+    row = {pair: r for r, pair in enumerate(map(tuple, G.base.edge_array.tolist()))}
+    s_nodes = [tuple(s) for s in S.base.nodes.tolist()]
+    left = G.weights.copy()
+    for (u, v), w in zip(S.base.edge_array.tolist(), S.weights.tolist()):
+        r = row.get((index.get(s_nodes[u]), index.get(s_nodes[v])))
+        if r is None or left[r] < w:
+            return None
+        left[r] -= w
+    return left
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
+def test_subtract_matches_a_dict_over_subsets(seed, k):
+    # S decomposes some of H's hyperedges plus a few others, so some of its
+    # subsets, on edges or not, can be missing from G.
+    rng = np.random.default_rng(seed)
+    H = random_hypergraph(rng, max_nodes=10, max_edge_size=5, max_edges=12)
+    other = random_hypergraph(rng, max_nodes=14, max_edge_size=4, max_edges=3)
+    members = [m for m in H.member_tuples() if rng.random() < 0.6] + other.member_tuples()
+    G, S = decompose_weighted(H, k), decompose_weighted(canonicalize(members), k)
+    want = subtract_by_dict(G, S)
+    if want is None:
+        with pytest.raises(RecoveryError):
+            _subtract(G, S)
+    else:
+        assert np.array_equal(_subtract(G, S), want)
