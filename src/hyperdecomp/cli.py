@@ -9,7 +9,6 @@ are removed and the exit status is nonzero. Every random choice flows from
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -199,8 +198,7 @@ def _parse_levels(raw: str) -> list[int]:
 
 def _load_params(args, H: Hypergraph | None) -> GenParams:
     if args.params is not None:
-        with open(args.params, "r", encoding="utf-8") as fh:
-            return GenParams.from_dict(json.load(fh))
+        return GenParams.from_dict(hio.read_report(args.params))
     if H is None:
         raise ValidationError("--params is required when no input data is given")
     return learn_params(dedup(H))

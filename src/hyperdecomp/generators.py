@@ -109,13 +109,12 @@ class GenParams:
     @classmethod
     def from_dict(cls, obj: Mapping) -> "GenParams":
         try:
-            return cls(
-                n=int(obj["n"]),
-                sizes={int(k): float(v) for k, v in obj["sizes"].items()},
-                new_edges={int(k): float(v) for k, v in obj["new_edges"].items()},
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
+            n = int(obj["n"])
+            sizes = {int(k): float(v) for k, v in obj["sizes"].items()}
+            new_edges = {int(k): float(v) for k, v in obj["new_edges"].items()}
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed generator parameters: {exc}") from exc
+        return cls(n=n, sizes=sizes, new_edges=new_edges)
 
 
 def learn_params(H: Hypergraph) -> GenParams:

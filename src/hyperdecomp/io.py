@@ -47,10 +47,16 @@ class FormatError(ValueError):
         self.line = line
 
 
+def _open_input(path: str):
+    """Open a text input. Bytes that are not UTF-8 become lone surrogates,
+    so the token holding them fails its own parse and reports file:line."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
 def _int_tokens(path: str) -> list[tuple[int, int]]:
     """(value, line_number) for every integer token; commas are separators."""
     out: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             for tok in line.replace(",", " ").split():
                 try:
@@ -109,7 +115,7 @@ def read_line_format(path: str, n: int | None = None) -> Hypergraph:
     """One hyperedge per line: node ids, then an optional final t=<int>."""
     raw_edges: list[list[int]] = []
     timestamps: list[int | None] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             toks = line.split()
             if not toks or toks[0].startswith("#"):
@@ -225,7 +231,7 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
             first_lines.append(lineno)
         return i
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             toks = line.split()
             if not toks:
@@ -333,8 +339,12 @@ def write_report(obj, path: str) -> None:
 
 
 def read_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a JSON file; a syntax error raises FormatError at its line."""
+    with _open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(path, exc.lineno, exc.msg)
 
 
 def write_histogram_tsv(hist: Mapping[int, int], path: str) -> None:

@@ -119,9 +119,12 @@ def recover(
         max_size = 1 + max(graphs)
     if max_size < 2:
         raise ValidationError("maximum hyperedge size must be at least 2")
-    missing = [k for k in range(1, max_size) if k not in graphs]
+    missing = max_size - 1 - sum(k < max_size for k in graphs)
     if missing:
-        raise ValidationError(f"missing decomposition levels: {missing}")
+        first = min(set(range(1, len(graphs) + 2)) - graphs.keys())
+        raise ValidationError(
+            f"{missing} of decomposition levels 1..{max_size - 1} missing, first {first}"
+        )
     max_id = max(int(G.base.nodes.max(initial=-1)) for G in graphs.values())
     if max_id < 0:
         raise ValidationError("decompositions contain no nodes")

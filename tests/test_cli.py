@@ -205,6 +205,36 @@ def test_generate_subset_window_too_small_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+_GOOD_PARAMS = '{"n": 40, "sizes": {"2": 1.0}, "new_edges": {"1": 1.0}}'
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (_GOOD_PARAMS[:-1], "params.json:1: "),
+        ('{"n": 40,\n"sizes": {"2": 1.0},\n\n', "params.json:4: "),
+        (_GOOD_PARAMS.replace("{", "{\n").encode() + b"\xff", "params.json:4: "),
+        (_GOOD_PARAMS.replace("1.0}, ", '"x"}, '), "malformed generator parameters"),
+        (_GOOD_PARAMS.replace("40", '"five"'), "malformed generator parameters"),
+        (_GOOD_PARAMS.encode().replace(b'"2"', b'"\xff"'), "malformed generator parameters"),
+        ("[1, 2]", "malformed generator parameters"),
+    ],
+    ids=["truncated", "unclosed", "stray-byte", "bad-weight", "bad-n", "bad-key-byte", "list"],
+)
+def test_generate_rejects_malformed_params_file(tmp_path, capsys, text, expected):
+    params = tmp_path / "params.json"
+    if isinstance(text, bytes):
+        params.write_bytes(text)
+    else:
+        params.write_text(text, encoding="utf-8")
+    out = tmp_path / "g.txt"
+    argv = ["generate", "--model", "hyperpa", "--params", str(params), "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and expected in err
+    assert not out.exists()
+
+
 def test_evaluate_reports_points(tmp_path, capsys):
     data = write(
         tmp_path / "in.txt",

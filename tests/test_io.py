@@ -336,11 +336,14 @@ _READERS = {
     "weighted": (read_weighted_graph, ["# level=1\n0 1 2\n0 2 1\nnode 5\nselfloop 0 3\n"]),
     "simplex": (read_simplex_format, ["2\n1\n", "0 1\n2\n", "5\n6\n"]),
 }
-# Tokens on the edges of what the readers accept.
+# Tokens on the edges of what the readers accept; b"\xff" is not UTF-8.
 _EDGE_TOKENS = [
-    "-1", "0", "2", str(2**63 - 1), str(2**63), str(10**30), "1-0", "0-0", "0-1-2",
-    "x", "1.5", "", "#", "node", "selfloop", "level=2", f"level={2**63}", "t=", "t=1",
-]
+    tok.encode()
+    for tok in [
+        "-1", "0", "2", str(2**63 - 1), str(2**63), str(10**30), "1-0", "0-0", "0-1-2",
+        "x", "1.5", "", "#", "node", "selfloop", "level=2", f"level={2**63}", "t=", "t=1",
+    ]
+] + [b"\xff"]
 
 
 def _parses_or_raises_format_error(read, paths):
@@ -354,17 +357,20 @@ def _parses_or_raises_format_error(read, paths):
 @pytest.mark.parametrize("name", sorted(_READERS))
 def test_single_token_mutants_raise_only_format_errors(tmp_path, name):
     read, seeds = _READERS[name]
+    seeds = [seed.encode() for seed in seeds]
     for k, seed in enumerate(seeds):
-        lines = [line.split(" ") for line in seed.splitlines()]
+        lines = [line.split(b" ") for line in seed.splitlines()]
         for i, line in enumerate(lines):
             for j in range(len(line)):
                 for tok in _EDGE_TOKENS:
                     mutant = [list(toks) for toks in lines]
                     mutant[i][j] = tok
                     texts = list(seeds)
-                    texts[k] = "".join(" ".join(toks) + "\n" for toks in mutant)
-                    paths = [write(tmp_path / f"f{n}.txt", t) for n, t in enumerate(texts)]
-                    _parses_or_raises_format_error(read, paths)
+                    texts[k] = b"".join(b" ".join(toks) + b"\n" for toks in mutant)
+                    paths = [tmp_path / f"f{n}.txt" for n in range(len(texts))]
+                    for path, text in zip(paths, texts):
+                        path.write_bytes(text)
+                    _parses_or_raises_format_error(read, list(map(str, paths)))
 
 
 _NUMBERS = st.one_of(

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdecomp import (
     ConvergenceError,
     DecomposeConfig,
+    GenParams,
     MetricError,
     ValidationError,
     canonicalize,
@@ -15,6 +18,7 @@ from hyperdecomp import (
     decompose,
     degree_histogram,
     effective_diameter,
+    hyperpa,
     singular_values,
 )
 from hyperdecomp.core import DecomposedGraph
@@ -185,25 +189,52 @@ def test_effective_diameter_errors():
         effective_diameter(K2, q=1.5)
 
 
-def oracle_clustering(G):
-    n = G.num_nodes
-    neigh = [set() for _ in range(n)]
+def oracle_neighbours(G):
+    neigh = [set() for _ in range(G.num_nodes)]
     for u, v in G.edge_array:
         neigh[int(u)].add(int(v))
         neigh[int(v)].add(int(u))
+    return neigh
+
+
+def oracle_triangles(G):
+    """Per node, the pairs of its neighbours that are adjacent themselves."""
+    neigh = oracle_neighbours(G)
+    return [
+        sum(1 for a in neigh[v] for b in neigh[v] if a < b and b in neigh[a])
+        for v in range(G.num_nodes)
+    ]
+
+
+def oracle_clustering(G):
+    neigh, links = oracle_neighbours(G), oracle_triangles(G)
     total = 0.0
-    for v in range(n):
+    for v in range(G.num_nodes):
         k = len(neigh[v])
         if k < 2:
             continue
-        links = sum(
-            1
-            for a in neigh[v]
-            for b in neigh[v]
-            if a < b and b in neigh[a]
+        total += 2.0 * links[v] / (k * (k - 1))
+    return total / G.num_nodes
+
+
+def clustering_cases():
+    """Random graphs, then hub-heavy ones whose hubs meet every triangle."""
+    rng = np.random.default_rng(17)
+    for _ in range(15):
+        yield random_graph(rng, int(rng.integers(4, 70)), float(rng.uniform(0.05, 0.4)))
+    # A star over 40 leaves, 24 of which also form cliques of six.
+    cliques = [
+        (a, b) for c in range(1, 25, 6) for a in range(c, c + 6) for b in range(a + 1, c + 6)
+    ]
+    yield graph_from_pairs([(0, i) for i in range(1, 41)] + cliques)
+    # Windmills: copies of K3 and of K5 sharing one centre.
+    for blade in (3, 5):
+        yield graph_from_pairs(
+            (a, b)
+            for c in range(1, 12 * (blade - 1), blade - 1)
+            for a in [0, *range(c, c + blade - 1)]
+            for b in range(max(a + 1, c), c + blade - 1)
         )
-        total += 2.0 * links / (k * (k - 1))
-    return total / n
 
 
 def test_clustering_closed_forms():
@@ -216,10 +247,42 @@ def test_clustering_closed_forms():
 
 
 def test_clustering_matches_brute_force():
-    rng = np.random.default_rng(17)
-    for _ in range(15):
-        G = random_graph(rng, int(rng.integers(4, 70)), float(rng.uniform(0.05, 0.4)))
+    for G in clustering_cases():
         assert clustering_coefficient(G) == pytest.approx(oracle_clustering(G))
+        assert metrics_mod._triangle_counts(G).tolist() == oracle_triangles(G)
+
+
+def test_triangle_counts_match_networkx():
+    nx = pytest.importorskip("networkx")
+    params = GenParams(
+        n=300, sizes={2: 0.4, 3: 0.3, 4: 0.2, 6: 0.1}, new_edges={0: 0.2, 1: 0.5, 3: 0.3}
+    )
+    H = hyperpa(params, seed=3)
+    sampled = [decompose(H, DecomposeConfig.for_level(k)) for k in (1, 2)]
+    for G in [*clustering_cases(), *sampled]:
+        g = nx.Graph()
+        g.add_nodes_from(range(G.num_nodes))
+        g.add_edges_from(G.edge_array.tolist())
+        expected = nx.triangles(g)
+        counts = metrics_mod._triangle_counts(G).tolist()
+        assert counts == [expected[v] for v in range(G.num_nodes)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=25))
+def test_triangle_counts_survive_relabelling(data, n):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    perm = data.draw(st.permutations(range(n)))
+
+    def graph(label):
+        edges = sorted({tuple(sorted((label[u], label[v]))) for u, v in pairs if u != v})
+        edge_array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        return DecomposedGraph(level=1, nodes=ids(n), edge_array=edge_array)
+
+    G, R = graph(range(n)), graph(perm)
+    counts = metrics_mod._triangle_counts(G)
+    assert counts.tolist() == oracle_triangles(G)
+    assert metrics_mod._triangle_counts(R)[list(perm)].tolist() == counts.tolist()
 
 
 def test_clustering_counts_low_degree_nodes_in_mean():

@@ -14,6 +14,7 @@ from hyperdecomp import (
     WeightedDecomposedGraph,
     canonicalize,
     decompose_weighted,
+    read_weighted_graph,
     recover,
 )
 from hyperdecomp.recovery import _subtract
@@ -99,13 +100,26 @@ def test_max_size_argument_checks_coverage():
         recover(graphs, max_size=1)
 
 
-def test_missing_level_is_reported():
+def test_missing_level_is_reported(tmp_path):
     H = canonicalize([[0, 1, 2, 3], [0, 1]])
     graphs = stack(H)
     del graphs[2]
     with pytest.raises(ValidationError) as exc:
         recover(graphs, max_size=4)
     assert "2" in str(exc.value)
+    # Far-off levels are counted, not listed: an empty file at a high level,
+    # and a maximum size far above the one level given.
+    path = tmp_path / "empty.txt"
+    path.write_text("# level=1000000\n")
+    cases = [
+        ({10**6: read_weighted_graph(str(path))}, None, "999999 of", "first 1"),
+        ({1: graphs[1]}, 30_000_000, "29999998 of", "first 2"),
+    ]
+    for given_graphs, max_size, count, first in cases:
+        with pytest.raises(ValidationError) as exc:
+            recover(given_graphs, max_size=max_size)
+        message = str(exc.value)
+        assert count in message and first in message and len(message) < 100
 
 
 def test_mislabeled_level_is_rejected():
