@@ -12,10 +12,11 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -110,6 +111,8 @@ class GenParams:
     def from_dict(cls, obj: Mapping) -> "GenParams":
         try:
             n = int(obj["n"])
+            if isinstance(obj["n"], float) and n != obj["n"]:
+                raise ValueError(f"n must be a whole number, got {obj['n']!r}")
             sizes = {int(k): float(v) for k, v in obj["sizes"].items()}
             new_edges = {int(k): float(v) for k, v in obj["new_edges"].items()}
         except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
@@ -158,17 +161,17 @@ _ROW_ID_MAX = 2**32 - 1
 class GroupDegreeIndex:
     """Degree-proportional sampler over node groups of bounded size.
 
-    For each group size up to `cap` the index stores one row per
-    (hyperedge, subset) incidence, so a group's degree is its row count
-    and a uniform row draw is a degree-proportional group draw.
+    For each group size j up to `cap` the index stores one row of j ids per
+    (hyperedge, subset) incidence, flat in one uint32 array, so a group's
+    degree is its row count and a uniform row draw is a degree-proportional
+    group draw.
     """
 
     def __init__(self, cap: int):
         if cap < 1:
             raise ValidationError("group-size cap must be >= 1")
         self.cap = cap
-        self._rows: dict[int, np.ndarray] = {}
-        self._len: dict[int, int] = {j: 0 for j in range(1, cap + 1)}
+        self._rows = {j: array("I") for j in range(1, cap + 1)}
 
     def add_hyperedge(self, members: Sequence[int]) -> None:
         if members and max(members) > _ROW_ID_MAX:
@@ -176,35 +179,23 @@ class GroupDegreeIndex:
                 f"node id {max(members)} does not fit the index's uint32 rows"
             )
         for j in range(1, min(len(members), self.cap) + 1):
-            rows = np.array(list(combinations(members, j)), dtype=np.uint32)
-            used = self._len[j]
-            buf = self._rows.get(j)
-            if buf is None or used + rows.shape[0] > buf.shape[0]:
-                cap_rows = max(1024, 2 * (used + rows.shape[0]))
-                grown = np.empty((cap_rows, j), dtype=np.uint32)
-                if buf is not None:
-                    grown[:used] = buf[:used]
-                self._rows[j] = buf = grown
-            buf[used : used + rows.shape[0]] = rows
-            self._len[j] = used + rows.shape[0]
+            self._rows[j].extend(chain.from_iterable(combinations(members, j)))
 
     def count(self, size: int) -> int:
         """Total degree mass held by groups of the given size."""
-        return self._len.get(size, 0)
+        return len(self._rows[size]) // size if size in self._rows else 0
 
     def sample(self, size: int, rng: random.Random) -> tuple[int, ...]:
-        used = self._len.get(size, 0)
+        used = self.count(size)
         if used == 0:
             raise ValidationError(f"no group of size {size} has positive degree")
-        row = self._rows[size][rng.randrange(used)]
-        return tuple(int(v) for v in row)
+        start = rng.randrange(used) * size
+        return tuple(self._rows[size][start : start + size])
 
     def degrees(self, size: int) -> Counter:
         """Recount of group degrees, for verification against stored edges."""
-        used = self._len.get(size, 0)
-        if used == 0:
-            return Counter()
-        return Counter(map(tuple, self._rows[size][:used].tolist()))
+        rows = self._rows.get(size, ())
+        return Counter(tuple(rows[i : i + size]) for i in range(0, len(rows), size))
 
 
 @dataclass(frozen=True)

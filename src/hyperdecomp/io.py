@@ -339,12 +339,15 @@ def write_report(obj, path: str) -> None:
 
 
 def read_report(path: str) -> dict:
-    """Parse a JSON file; a syntax error raises FormatError at its line."""
+    """Parse a JSON file; a syntax error raises FormatError at its line, and
+    nesting too deep for the parser raises it at line 1."""
     with _open_input(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(path, exc.lineno, exc.msg)
+        except RecursionError:
+            raise FormatError(path, 1, "JSON nesting is too deep")
 
 
 def write_histogram_tsv(hist: Mapping[int, int], path: str) -> None:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
 from .core import ValidationError
 
-# scipy.optimize and mpmath are imported inside the truncated power-law fit,
-# the only code that needs them, so importing this module stays cheap.
+# scipy.optimize is imported inside the truncated power-law fit, the only
+# code that needs it, so importing this module stays cheap.
 
 __all__ = [
     "FitError",
@@ -45,6 +46,10 @@ _TPL_ALPHA_LO = 1.0 + 1e-6
 _TPL_ALPHA_HI = 20.0
 _TPL_RATE_LO = 1e-10
 _TPL_RATE_HI = 1e4
+# The normalizer's fraction and series stop at a relative step of _EPS; the
+# fraction takes about 90 terms at z = 1 and fewer above.
+_EPS = 2.0**-53
+_FRACTION_TERMS = 500
 
 
 class FitError(ValueError):
@@ -121,14 +126,46 @@ def _fit_lognormal(x: np.ndarray, xmin: float) -> FitResult:
 
 
 def _tpl_log_normalizer(alpha: float, lam: float, xmin: float) -> float:
-    """log of lam^(alpha-1) * GammaUpper(1 - alpha, lam * xmin)."""
-    import mpmath
+    """log of lam^(alpha-1) * GammaUpper(1 - alpha, lam * xmin).
 
-    z = mpmath.mpf(lam) * mpmath.mpf(xmin)
-    gamma = mpmath.gammainc(mpmath.mpf(1.0 - alpha), z, mpmath.inf)
-    if not mpmath.isfinite(gamma) or gamma <= 0:
-        raise FitError("truncated power-law normalizer underflowed")
-    return float((alpha - 1.0) * mpmath.log(lam) + mpmath.log(gamma))
+    With a = 1 - alpha and z = lam * xmin this is a * log(xmin) + log(S),
+    where S = z^-a * GammaUpper(a, z) cannot overflow. For z >= 1,
+    S = e^-z * h, and h = e^z * E_alpha(z) is a continued fraction summed by
+    the modified Lentz method. For z < 1, S is z^-a * e^-1 * h(1), which is
+    z^-a * GammaUpper(a, 1), plus z^-a times the integral of t^(a-1) * e^-t over [z, 1], expanded in
+    powers of t: term k is (-1)^k / k! * z^min(k, -a) * (1 - z^|a+k|) / |a+k|,
+    or z^k * -log(z) at a + k = 0, so integer alpha is no pole. Past
+    a + k = 0 the terms shrink, and the sum stops below _EPS of the total.
+    """
+    a = 1.0 - alpha
+    z = lam * xmin
+    b = max(z, 1.0) + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    h = d
+    for i in range(1, _FRACTION_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    else:
+        raise FitError("truncated power-law normalizer did not converge")
+    if z >= 1.0:
+        return a * math.log(xmin) + math.log(h) - z
+    log_z = math.log(z)
+    total = h * math.exp(-1.0 - a * log_z)
+    coef = 1.0  # (-1)^k / k!
+    for k in count():
+        gap = abs(a + k)
+        part = -math.expm1(gap * log_z) / gap if gap else -log_z
+        term = coef * math.exp(min(k, -a) * log_z) * part
+        total += term
+        if a + k > 0 and abs(term) <= _EPS * total:
+            return a * math.log(xmin) + math.log(total)
+        coef /= -(k + 1)
 
 
 def _fit_truncated_powerlaw(x: np.ndarray, xmin: float) -> FitResult:

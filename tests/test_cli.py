@@ -218,8 +218,20 @@ _GOOD_PARAMS = '{"n": 40, "sizes": {"2": 1.0}, "new_edges": {"1": 1.0}}'
         (_GOOD_PARAMS.replace("40", '"five"'), "malformed generator parameters"),
         (_GOOD_PARAMS.encode().replace(b'"2"', b'"\xff"'), "malformed generator parameters"),
         ("[1, 2]", "malformed generator parameters"),
+        ("[" * 100_000 + "]" * 100_000, "params.json:1: JSON nesting is too deep"),
+        (_GOOD_PARAMS.replace("40", "2.5"), "malformed generator parameters: n must be"),
     ],
-    ids=["truncated", "unclosed", "stray-byte", "bad-weight", "bad-n", "bad-key-byte", "list"],
+    ids=[
+        "truncated",
+        "unclosed",
+        "stray-byte",
+        "bad-weight",
+        "bad-n",
+        "bad-key-byte",
+        "list",
+        "deep-nesting",
+        "fractional-n",
+    ],
 )
 def test_generate_rejects_malformed_params_file(tmp_path, capsys, text, expected):
     params = tmp_path / "params.json"

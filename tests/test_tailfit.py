@@ -1,8 +1,8 @@
 """Tail fitting, likelihood ratios, and the exponentiality test."""
 
+import itertools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -18,7 +18,14 @@ from hyperdecomp import (
     lilliefors_exp,
     loglik_ratio,
 )
-from hyperdecomp.tailfit import _lilliefors_critical
+from hyperdecomp.tailfit import (
+    _TPL_ALPHA_HI,
+    _TPL_ALPHA_LO,
+    _TPL_RATE_HI,
+    _TPL_RATE_LO,
+    _lilliefors_critical,
+    _tpl_log_normalizer,
+)
 
 
 def pareto_sample(rng, n, alpha, xmin=1.0):
@@ -91,17 +98,69 @@ def test_lognormal_perturbation_lowers_likelihood():
         assert loglik(mu, sigma) >= loglik(mu * fm, sigma * fs) - 1e-9
 
 
+def mpmath_log_normalizer(alpha, lam, xmin):
+    """log of lam^(alpha-1) * GammaUpper(1 - alpha, lam * xmin) in 40-digit
+    mpmath, or None where that is not finite."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, xmin = mpmath.mpf(lam), mpmath.mpf(xmin)
+        gamma = mpmath.gammainc(1 - mpmath.mpf(alpha), lam * xmin, mpmath.inf)
+        if not mpmath.isfinite(gamma) or gamma <= 0:
+            return None
+        return (mpmath.mpf(alpha) - 1) * mpmath.log(lam) + mpmath.log(gamma)
+
+
+def assert_normalizer_matches_mpmath(alpha, lam, xmin):
+    """Error relative to max(1, |log|): the normalizer's own relative error
+    while the log is small, and the log's relative error once it is large
+    (a double holds a log of -1e7 only to about 1e-9)."""
+    want = mpmath_log_normalizer(alpha, lam, xmin)
+    assert want is not None, (alpha, lam, xmin)
+    got = _tpl_log_normalizer(alpha, lam, xmin)
+    assert math.isfinite(got), (alpha, lam, xmin)
+    err = float(abs(got - want) / max(1, abs(want)))
+    assert err <= 1e-12, (alpha, lam, xmin, got, float(want))
+
+
+_NORMALIZER_ALPHAS = (
+    1.0 + 1e-6, 1.01, 1.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 2.5,
+    3.0 - 1e-7, 3.0, 7.3, 12.0, 20.0 - 1e-6, 20.0,
+)
+_NORMALIZER_ZS = (
+    1e-20, 1e-13, 1e-8, 1e-3, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6,
+    2.0, 10.0, 100.0, 1e3, 1e5, 1e7,
+)
+
+
+@pytest.mark.parametrize("xmin", [1e-3, 1.0, 1e3])
+def test_tpl_normalizer_matches_40_digit_mpmath_on_grid(xmin):
+    # Integer alpha puts a + k = 0 in the small-z series; z = 1 -/+ 1e-6
+    # straddles the switch to the continued fraction; alpha = 20, z = 100
+    # is where default-precision mpmath's log was off by 0.24.
+    for alpha, z in itertools.product(_NORMALIZER_ALPHAS, _NORMALIZER_ZS):
+        assert_normalizer_matches_mpmath(alpha, z / xmin, xmin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=_TPL_ALPHA_LO, max_value=_TPL_ALPHA_HI),
+    st.floats(min_value=math.log10(_TPL_RATE_LO), max_value=math.log10(_TPL_RATE_HI)),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_tpl_normalizer_matches_mpmath_over_the_fit_box(alpha, log_lam, log_xmin):
+    assert_normalizer_matches_mpmath(alpha, 10.0**log_lam, 10.0**log_xmin)
+
+
 def tpl_loglik(data, alpha, lam, xmin):
     """Direct truncated power-law log-likelihood, evaluated with mpmath."""
-    z = mpmath.log(mpmath.gammainc(1 - alpha, lam * xmin, mpmath.inf)) + (
-        alpha - 1
-    ) * mpmath.log(lam)
+    z = mpmath_log_normalizer(alpha, lam, xmin)
     return float(
         -alpha * np.log(data).sum() - lam * data.sum() - data.size * float(z)
     )
 
 
 def test_truncated_powerlaw_is_argmax():
+    pytest.importorskip("mpmath")
     rng = np.random.default_rng(4)
     base = pareto_sample(rng, 800, alpha=2.0)
     data = base[base * rng.random(800) < 5.0][:400]  # soft truncation
