@@ -1,124 +1,17 @@
 """Multi-level hypergraph decomposition, pattern analysis, and generation."""
 
-from .core import (
-    DecomposedGraph,
-    Hyperedge,
-    Hypergraph,
-    KSubset,
-    ValidationError,
-    WeightedDecomposedGraph,
-    canonicalize,
-    dedup,
-)
-from .decompose import (
-    DecomposeConfig,
-    decompose,
-    decompose_weighted,
-)
-from .io import (
-    FormatError,
-    format_float,
-    read_line_format,
-    read_report,
-    read_simplex_format,
-    read_weighted_graph,
-    write_decomposed_graph,
-    write_histogram_tsv,
-    write_line_format,
-    write_report,
-    write_spectrum_tsv,
-    write_weighted_graph,
-)
-from .generators import (
-    GenParams,
-    GroupDegreeIndex,
-    SamplingRule,
-    ScoreCard,
-    evaluate,
-    hyperpa,
-    hyperpa_detailed,
-    learn_params,
-    naivepa,
-    null_model,
-    subset_sampling,
-)
-from .metrics import (
-    ComponentReport,
-    ConvergenceError,
-    MetricError,
-    SingularSpectrum,
-    clustering_coefficient,
-    connected_components,
-    degree_histogram,
-    effective_diameter,
-    singular_values,
-)
-from .recovery import RecoveryError, recover
-from .tailfit import (
-    FitError,
-    FitResult,
-    TailVerdict,
-    fit,
-    heavy_tail_verdict,
-    ks_dstat,
-    lilliefors_exp,
-    loglik_ratio,
-)
+import sys
+
+from .core import *
+from .decompose import *
+from .generators import *
+from .io import *
+from .metrics import *
+from .recovery import *
+from .tailfit import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComponentReport",
-    "ConvergenceError",
-    "DecomposeConfig",
-    "DecomposedGraph",
-    "FitError",
-    "FitResult",
-    "FormatError",
-    "GenParams",
-    "GroupDegreeIndex",
-    "Hyperedge",
-    "Hypergraph",
-    "KSubset",
-    "MetricError",
-    "RecoveryError",
-    "SamplingRule",
-    "ScoreCard",
-    "SingularSpectrum",
-    "TailVerdict",
-    "ValidationError",
-    "WeightedDecomposedGraph",
-    "canonicalize",
-    "clustering_coefficient",
-    "connected_components",
-    "decompose",
-    "decompose_weighted",
-    "dedup",
-    "degree_histogram",
-    "effective_diameter",
-    "evaluate",
-    "fit",
-    "format_float",
-    "heavy_tail_verdict",
-    "hyperpa",
-    "hyperpa_detailed",
-    "ks_dstat",
-    "learn_params",
-    "lilliefors_exp",
-    "loglik_ratio",
-    "naivepa",
-    "null_model",
-    "read_line_format",
-    "read_report",
-    "read_simplex_format",
-    "read_weighted_graph",
-    "recover",
-    "singular_values",
-    "subset_sampling",
-    "write_decomposed_graph",
-    "write_histogram_tsv",
-    "write_line_format",
-    "write_report",
-    "write_spectrum_tsv",
-    "write_weighted_graph",
-]
+_MODULES = ("core", "decompose", "generators", "io", "metrics", "recovery", "tailfit")
+# `decompose` names the function here, so the modules come from sys.modules.
+__all__ = sorted(name for m in _MODULES for name in sys.modules[f"{__name__}.{m}"].__all__)

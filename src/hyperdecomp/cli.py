@@ -13,7 +13,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from . import io as hio
 from .core import Hypergraph, ValidationError, dedup
@@ -43,15 +43,15 @@ from .tailfit import FitError, heavy_tail_verdict
 WORKERS_ENV = "HYPERDECOMP_WORKERS"
 
 
-class _OutputTracker:
-    """Remembers files written so far, for cleanup when a command fails."""
+@contextmanager
+def _outputs():
+    """Yield write(path, writer), which runs a path-taking writer against a
+    temp file and then renames it to path. If the block fails, every path
+    written so far is removed."""
+    written: list[str] = []
 
-    def __init__(self) -> None:
-        self.paths: list[str] = []
-
-    def write_with(self, path: str, writer) -> None:
-        """Run a path-taking writer against a temp file, then rename."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
+    def write(path: str, writer) -> None:
+        directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-hyperdecomp-")
         os.close(fd)
         try:
@@ -61,23 +61,14 @@ class _OutputTracker:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-        self.paths.append(path)
+        written.append(path)
 
-    def cleanup(self) -> None:
-        for path in self.paths:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-
-@contextmanager
-def _tracked():
-    tracker = _OutputTracker()
     try:
-        yield tracker
+        yield write
     except BaseException:
-        tracker.cleanup()
+        for path in written:
+            with suppress(OSError):
+                os.unlink(path)
         raise
 
 
@@ -110,21 +101,23 @@ def _workers() -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.weighted and args.max_edge_size is not None:
+        raise ValidationError("--max-edge-size does not apply to --weighted, which is uncapped")
     H = _load_hypergraph(args)
-    with _tracked() as tracker:
+    with _outputs() as write:
         if args.weighted:
             G = decompose_weighted(H, args.level)
-            tracker.write_with(args.out, lambda p: hio.write_weighted_graph(G, p))
+            write(args.out, lambda p: hio.write_weighted_graph(G, p))
             base = G.base
         else:
             cfg = DecomposeConfig.for_level(args.level, args.max_edge_size)
             base = decompose(H, cfg)
-            tracker.write_with(args.out, lambda p: hio.write_decomposed_graph(base, p))
+            write(args.out, lambda p: hio.write_decomposed_graph(base, p))
     print(f"level={base.level} nodes={base.num_nodes} edges={base.num_edges}")
     return 0
 
 
-def _analyze_level(H: Hypergraph, level: int, args, tracker: _OutputTracker) -> dict:
+def _analyze_level(H: Hypergraph, level: int, args, write) -> dict:
     cfg = DecomposeConfig.for_level(level, args.max_edge_size)
     G = decompose(H, cfg)
     report = connected_components(G)
@@ -136,7 +129,7 @@ def _analyze_level(H: Hypergraph, level: int, args, tracker: _OutputTracker) -> 
     }
     hist = degree_histogram(G)
     prefix = os.path.join(args.out, f"level{level}")
-    tracker.write_with(prefix + "-degrees.tsv", lambda p: hio.write_histogram_tsv(hist, p))
+    write(prefix + "-degrees.tsv", lambda p: hio.write_histogram_tsv(hist, p))
     if G.num_edges:
         try:
             summary["effective_diameter"] = effective_diameter(G, seed=args.seed)
@@ -149,11 +142,8 @@ def _analyze_level(H: Hypergraph, level: int, args, tracker: _OutputTracker) -> 
         except FitError as exc:  # degenerate degree samples stay reportable
             summary["degree_tail_error"] = str(exc)
         spectrum = singular_values(G, m=min(args.sv_count, G.num_nodes))
-        tracker.write_with(
-            prefix + "-spectrum.tsv",
-            lambda p: hio.write_spectrum_tsv(spectrum.values, p),
-        )
-    tracker.write_with(prefix + ".json", lambda p: hio.write_report(summary, p))
+        write(prefix + "-spectrum.tsv", lambda p: hio.write_spectrum_tsv(spectrum.values, p))
+    write(prefix + ".json", lambda p: hio.write_report(summary, p))
     return summary
 
 
@@ -161,16 +151,15 @@ def cmd_analyze(args) -> int:
     H = dedup(_load_hypergraph(args))
     levels = _parse_levels(args.levels)
     os.makedirs(args.out, exist_ok=True)
-    with _tracked() as tracker:
+    with _outputs() as write:
         workers = _workers()
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_analyze_level, H, lv, args, tracker) for lv in levels
-                ]
+                futures = [pool.submit(_analyze_level, H, lv, args, write) for lv in levels]
                 summaries = [f.result() for f in futures]
         else:
-            summaries = [_analyze_level(H, lv, args, tracker) for lv in levels]
+            # No pool: a worker thread's own malloc arena adds about 1 MB of RSS.
+            summaries = [_analyze_level(H, lv, args, write) for lv in levels]
     for s in summaries:
         comp = s["components"]
         line = (
@@ -216,6 +205,8 @@ def cmd_generate(args) -> int:
     if args.model == "null":
         if H is None:
             raise ValidationError("the null model needs input data")
+        if args.params is not None:
+            raise ValidationError("--params does not apply to --model null")
         out_H = null_model(H, seed=args.seed)
     else:
         params = _load_params(args, H)
@@ -235,11 +226,9 @@ def cmd_generate(args) -> int:
             manifest["rule"] = rule.to_dict()
         else:
             raise ValidationError(f"unknown model {args.model!r}")
-    with _tracked() as tracker:
-        tracker.write_with(args.out, lambda p: hio.write_line_format(out_H, p))
-        tracker.write_with(
-            args.out + ".manifest.json", lambda p: hio.write_report(manifest, p)
-        )
+    with _outputs() as write:
+        write(args.out, lambda p: hio.write_line_format(out_H, p))
+        write(args.out + ".manifest.json", lambda p: hio.write_report(manifest, p))
     print(f"model={args.model} nodes={out_H.n} hyperedges={out_H.num_edges}")
     return 0
 
@@ -254,8 +243,8 @@ def cmd_evaluate(args) -> int:
         sv_count=args.sv_count,
         seed=args.seed,
     )
-    with _tracked() as tracker:
-        tracker.write_with(args.out, lambda p: hio.write_report(card, p))
+    with _outputs() as write:
+        write(args.out, lambda p: hio.write_report(card, p))
     print(f"points={card.points} applicable={card.applicable}")
     return 0
 
@@ -268,8 +257,8 @@ def cmd_recover(args) -> int:
             raise ValidationError(f"level {G.level} provided twice")
         graphs[G.level] = G
     H = recover(graphs, max_size=args.max_size)
-    with _tracked() as tracker:
-        tracker.write_with(args.out, lambda p: hio.write_line_format(H, p))
+    with _outputs() as write:
+        write(args.out, lambda p: hio.write_line_format(H, p))
     print(f"nodes={H.n} hyperedges={H.num_edges}")
     return 0
 

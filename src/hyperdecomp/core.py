@@ -191,14 +191,12 @@ def canonicalize(
     raw_edges: Iterable[Sequence[int]],
     n: int | None = None,
     timestamps: Sequence[int] | None = None,
-    dedup_edges: bool = False,
 ) -> Hypergraph:
     """Normalize raw integer sequences into a canonical Hypergraph.
 
     Members are sorted and deduplicated within each hyperedge. `n` defaults
     to 1 + the largest id seen. Empty hyperedges and negative ids are
-    rejected. With `dedup_edges`, duplicate member sets are dropped
-    (earliest timestamp kept) and the result is flagged deduplicated.
+    rejected. Repeated hyperedges are kept; `dedup` drops them.
     """
     raw_list = list(raw_edges)
     if timestamps is not None and len(timestamps) != len(raw_list):
@@ -218,8 +216,7 @@ def canonicalize(
         n = max_id + 1
     elif n <= max_id:
         raise ValidationError(f"n={n} too small for max id {max_id}")
-    H = Hypergraph(n=n, edges=tuple(edges), deduplicated=False)
-    return dedup(H) if dedup_edges else H
+    return Hypergraph(n=n, edges=tuple(edges))
 
 
 def dedup(H: Hypergraph) -> Hypergraph:

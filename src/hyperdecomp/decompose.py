@@ -23,15 +23,7 @@ from .core import (
     WeightedDecomposedGraph,
 )
 
-__all__ = [
-    "DecomposeConfig",
-    "default_max_edge_size",
-    "decompose",
-    "decompose_weighted",
-    "NODE_LEVEL_CAP",
-    "HIGHER_LEVEL_CAP",
-    "MAX_PACKED_SUBSETS",
-]
+__all__ = ["DecomposeConfig", "decompose", "decompose_weighted"]
 
 NODE_LEVEL_CAP = 25
 HIGHER_LEVEL_CAP = 7

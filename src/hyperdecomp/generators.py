@@ -36,17 +36,14 @@ __all__ = [
     "GenParams",
     "learn_params",
     "GroupDegreeIndex",
-    "RunStats",
     "hyperpa",
     "hyperpa_detailed",
     "naivepa",
     "SamplingRule",
     "subset_sampling",
     "null_model",
-    "PatternOutcome",
     "ScoreCard",
     "evaluate",
-    "DEFAULT_SUBSET_CAP",
 ]
 
 DEFAULT_SUBSET_CAP = 6

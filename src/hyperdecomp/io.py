@@ -112,9 +112,14 @@ def read_simplex_format(
 
 
 def read_line_format(path: str, n: int | None = None) -> Hypergraph:
-    """One hyperedge per line: node ids, then an optional final t=<int>."""
+    """One hyperedge per line: node ids, then an optional final t=<int>.
+
+    Either every hyperedge carries t= or none does; the first line that
+    differs from the first hyperedge is an error.
+    """
     raw_edges: list[list[int]] = []
     timestamps: list[int | None] = []
+    timed: bool | None = None
     with _open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             toks = line.split()
@@ -127,6 +132,10 @@ def read_line_format(path: str, n: int | None = None) -> Hypergraph:
                 except ValueError:
                     raise FormatError(path, lineno, f"bad timestamp {toks[-1]!r}")
                 toks = toks[:-1]
+            if timed is None:
+                timed = ts is not None
+            elif timed != (ts is not None):
+                raise FormatError(path, lineno, "either all or no hyperedges may carry t=")
             if not toks:
                 raise FormatError(path, lineno, "hyperedge has no members")
             edge = []
@@ -140,11 +149,8 @@ def read_line_format(path: str, n: int | None = None) -> Hypergraph:
                 edge.append(v)
             raw_edges.append(edge)
             timestamps.append(ts)
-    if any(t is not None for t in timestamps):
-        if any(t is None for t in timestamps):
-            raise FormatError(path, 1, "either all or no hyperedges may carry t=")
-        return canonicalize(raw_edges, n=n, timestamps=timestamps)  # type: ignore[arg-type]
-    return canonicalize(raw_edges, n=n)
+    stamps = timestamps if timed else None
+    return canonicalize(raw_edges, n=n, timestamps=stamps)  # type: ignore[arg-type]
 
 
 def write_line_format(H: Hypergraph, path: str) -> None:

@@ -30,8 +30,6 @@ __all__ = [
     "clustering_coefficient",
     "SingularSpectrum",
     "singular_values",
-    "GIANT_RATIO",
-    "DENSE_FALLBACK_MAX_BYTES",
 ]
 
 # A largest component at least this many times the second-largest counts
@@ -41,6 +39,9 @@ GIANT_RATIO = 70.0
 # Largest dense float64 adjacency the eigensolver fallback may allocate
 # (2 GiB, i.e. at most 16,384 nodes).
 DENSE_FALLBACK_MAX_BYTES = 2 * 1024**3
+
+# The effective diameter is this quantile of the pairwise distances.
+DIAMETER_QUANTILE = 0.9
 
 
 class MetricError(ValueError):
@@ -148,21 +149,18 @@ def _distance_histogram(
 
 def effective_diameter(
     G: DecomposedGraph,
-    q: float = 0.9,
     exact_threshold: int = 20_000,
     num_sources: int = 1_000,
     seed: int = 0,
 ) -> float:
     """Interpolated q-quantile of the pairwise shortest-path distribution.
 
-    With g(d) the fraction of connected ordered pairs (self-pairs excluded)
-    at distance <= d, returns d* - 1 + (q - g(d* - 1)) / (g(d*) - g(d* - 1))
-    where d* is the smallest integer with g(d*) >= q and g(0) = 0. Graphs
-    above `exact_threshold` nodes are estimated from `num_sources` sampled
-    BFS sources.
+    With q = DIAMETER_QUANTILE and g(d) the fraction of connected ordered
+    pairs (self-pairs excluded) at distance <= d, returns
+    d* - 1 + (q - g(d* - 1)) / (g(d*) - g(d* - 1)) where d* is the smallest
+    integer with g(d*) >= q and g(0) = 0. Graphs above `exact_threshold`
+    nodes are estimated from `num_sources` sampled BFS sources.
     """
-    if not 0.0 < q < 1.0:
-        raise ValidationError("quantile must lie in (0, 1)")
     n = G.num_nodes
     if n == 0 or G.num_edges == 0:
         raise MetricError("effective diameter undefined: no connected pairs")
@@ -177,10 +175,10 @@ def effective_diameter(
     if counts.size == 0 or counts.sum() == 0:
         raise MetricError("effective diameter undefined: no connected pairs")
     g = np.cumsum(counts) / counts.sum()
-    d_star = int(np.searchsorted(g, q) + 1)  # distances are 1-based
+    d_star = int(np.searchsorted(g, DIAMETER_QUANTILE) + 1)  # distances are 1-based
     g_prev = 0.0 if d_star == 1 else float(g[d_star - 2])
     g_cur = float(g[d_star - 1])
-    return float(d_star - 1 + (q - g_prev) / (g_cur - g_prev))
+    return float(d_star - 1 + (DIAMETER_QUANTILE - g_prev) / (g_cur - g_prev))
 
 
 def _triangle_counts(G: DecomposedGraph) -> np.ndarray:

@@ -26,8 +26,6 @@ __all__ = [
     "FitError",
     "FitResult",
     "TailVerdict",
-    "FAMILIES",
-    "HEAVY_FAMILIES",
     "fit",
     "loglik_ratio",
     "lilliefors_exp",
@@ -51,6 +49,12 @@ _TPL_RATE_HI = 1e4
 _EPS = 2.0**-53
 _FRACTION_TERMS = 500
 
+# The Lilliefors test's level, and the size and seed of its Monte Carlo
+# table of critical values.
+LILLIEFORS_SIGNIFICANCE = 0.025
+LILLIEFORS_REPS = 1000
+LILLIEFORS_SEED = 20_0902
+
 
 class FitError(ValueError):
     pass
@@ -62,7 +66,6 @@ class FitResult:
     params: tuple[float, ...]
     log_likelihood: float
     xmin: float
-    available: bool = True
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,9 @@ def _prepare(data, xmin: float | None) -> tuple[np.ndarray, float]:
     tail = x[x >= xmin]
     if tail.size == 0:
         raise FitError("no sample values at or above xmin")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(tail.mean()):
+            raise FitError("sample mean overflows")
     return tail, float(xmin)
 
 
@@ -201,13 +207,7 @@ def _fit_truncated_powerlaw(x: np.ndarray, xmin: float) -> FitResult:
             best = res
     assert best is not None
     if not math.isfinite(best.fun):
-        return FitResult(
-            "truncated-powerlaw",
-            (math.nan, math.nan),
-            math.nan,
-            xmin,
-            available=False,
-        )
+        raise FitError("truncated power law: no finite likelihood in the parameter box")
     alpha, lam = float(best.x[0]), float(best.x[1])
     return FitResult(
         "truncated-powerlaw", (alpha, lam), float(-best.fun * n), xmin
@@ -228,29 +228,24 @@ def fit(data, family: str, xmin: float | None = None) -> FitResult:
     raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def loglik_ratio(data, family: str, xmin: float | None = None) -> float | None:
+def loglik_ratio(data, family: str, xmin: float | None = None) -> float:
     """Log-likelihood of `family` minus the exponential baseline.
 
-    Positive values favor the alternative. Returns None when the
-    alternative's fit is unavailable (normalizer underflow).
+    Positive values favor the alternative.
     """
     alt = fit(data, family, xmin)
-    if not alt.available:
-        return None
     base = fit(data, "exponential", xmin)
     return float(alt.log_likelihood - base.log_likelihood)
 
 
 @lru_cache(maxsize=64)
-def _lilliefors_critical(
-    n: int, significance: float, mc_reps: int, seed: int
-) -> float:
-    rng = np.random.default_rng(seed)
-    stats = np.empty(mc_reps, dtype=np.float64)
-    for i in range(mc_reps):
+def _lilliefors_critical(n: int) -> float:
+    rng = np.random.default_rng(LILLIEFORS_SEED)
+    stats = np.empty(LILLIEFORS_REPS, dtype=np.float64)
+    for i in range(LILLIEFORS_REPS):
         z = rng.exponential(1.0, size=n)
         stats[i] = _exp_dstat(z)
-    return float(np.quantile(stats, 1.0 - significance))
+    return float(np.quantile(stats, 1.0 - LILLIEFORS_SIGNIFICANCE))
 
 
 def _exp_dstat(x: np.ndarray) -> float:
@@ -264,26 +259,24 @@ def _exp_dstat(x: np.ndarray) -> float:
     return max(d_plus, d_minus)
 
 
-def lilliefors_exp(
-    data,
-    significance: float = 0.025,
-    mc_reps: int = 1000,
-    seed: int = 20_0902,
-) -> tuple[bool, float, float]:
+def lilliefors_exp(data) -> tuple[bool, float, float]:
     """Lilliefors test of exponentiality with estimated rate.
 
-    Critical values come from a seeded Monte Carlo table, cached per
-    sample size. Returns (rejected, statistic, critical_value).
+    The test runs at level LILLIEFORS_SIGNIFICANCE. Critical values come
+    from a Monte Carlo table of LILLIEFORS_REPS draws seeded with
+    LILLIEFORS_SEED, cached per sample size. Returns (rejected, statistic,
+    critical_value).
     """
     x = np.asarray(data, dtype=np.float64).ravel()
     if x.size < 5:
         raise FitError("Lilliefors test needs at least 5 observations")
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise FitError("sample values must be nonnegative and finite")
-    if x.mean() <= 0:
-        raise FitError("sample mean must be positive")
+    with np.errstate(over="ignore"):
+        if not 0 < x.mean() < math.inf:
+            raise FitError("sample mean must be positive and finite")
     stat = _exp_dstat(x)
-    critical = _lilliefors_critical(int(x.size), float(significance), int(mc_reps), int(seed))
+    critical = _lilliefors_critical(int(x.size))
     return stat > critical, float(stat), critical
 
 
@@ -299,28 +292,21 @@ def ks_dstat(a, b) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def heavy_tail_verdict(
-    data,
-    xmin: float | None = None,
-    significance: float = 0.025,
-    mc_reps: int = 1000,
-    seed: int = 20_0902,
-) -> TailVerdict:
+def heavy_tail_verdict(data) -> TailVerdict:
     """Combined heavy-tail call on a nonnegative sample.
 
     Zeros are dropped up front: they carry no tail information and the
-    fitted families live on positive support. Ratios that cannot be
-    computed are recorded as None and ignored by the verdict.
+    fitted families live on positive support. The fits take the sample
+    minimum as xmin. Ratios whose fit raises FitError are recorded as None
+    and ignored by the verdict.
     """
     x = np.asarray(data, dtype=np.float64).ravel()
     x = x[x > 0]
-    rejected, stat, critical = lilliefors_exp(
-        x, significance=significance, mc_reps=mc_reps, seed=seed
-    )
+    rejected, stat, critical = lilliefors_exp(x)
     ratios: dict[str, float | None] = {}
     for family in HEAVY_FAMILIES:
         try:
-            ratios[family] = loglik_ratio(x, family, xmin)
+            ratios[family] = loglik_ratio(x, family)
         except FitError:
             ratios[family] = None
     heavy = rejected or any(r is not None and r > 0 for r in ratios.values())

@@ -67,6 +67,16 @@ def test_decompose_weighted_then_recover_roundtrip(small_input, tmp_path, capsys
     assert Counter(recovered.member_tuples()) == Counter(original.member_tuples())
 
 
+def test_decompose_weighted_rejects_edge_size_cap(tmp_path, capsys):
+    data = write(tmp_path / "in.txt", "0 1 2 3 4 5 6 7\n1 2\n")
+    out = tmp_path / "w2.txt"
+    argv = ["decompose", data, "--level", "2", "--weighted", "--max-edge-size", "3"]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--max-edge-size" in err
+    assert not out.exists()
+
+
 def test_decompose_accepts_simplex_triple(tmp_path, capsys):
     nv = write(tmp_path / "d-nverts.txt", "3\n2\n")
     sx = write(tmp_path / "d-simplices.txt", "0\n1\n2\n1\n2\n")
@@ -143,6 +153,19 @@ def test_generate_null_preserves_size_multiset(small_input, tmp_path):
     assert Counter(len(e) for e in N.member_tuples()) == Counter(
         len(e) for e in H.member_tuples()
     )
+
+
+def test_generate_null_rejects_params(small_input, tmp_path, capsys):
+    params = write(
+        tmp_path / "params.json",
+        json.dumps({"n": 40, "sizes": {"2": 1.0}, "new_edges": {"1": 1.0}}),
+    )
+    out = tmp_path / "null.txt"
+    argv = ["generate", small_input, "--model", "null", "--params", params]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--params" in err
+    assert not out.exists()
 
 
 def test_generate_subset_from_params_file(tmp_path):

@@ -46,7 +46,7 @@ def test_canonicalize_keeps_multiset_and_order():
 
 
 def test_canonicalize_dedup_flag():
-    H = canonicalize([[1, 0], [0, 1], [2]], dedup_edges=True)
+    H = dedup(canonicalize([[1, 0], [0, 1], [2]]))
     assert H.deduplicated
     assert H.member_tuples() == [(0, 1), (2,)]
 

@@ -17,6 +17,7 @@ from hyperdecomp import (
     ValidationError,
     canonicalize,
     connected_components,
+    dedup,
     decompose,
     evaluate,
     hyperpa,
@@ -58,7 +59,7 @@ def test_params_roundtrip_dict():
 
 
 def test_learn_params_worked_example():
-    H = canonicalize([[0, 1], [0, 2], [1, 2, 3]], timestamps=[0, 1, 2], dedup_edges=True)
+    H = dedup(canonicalize([[0, 1], [0, 2], [1, 2, 3]], timestamps=[0, 1, 2]))
     p = learn_params(H)
     assert p.n == 4
     assert p.sizes == {2: pytest.approx(2 / 3), 3: pytest.approx(1 / 3)}
@@ -69,13 +70,13 @@ def test_learn_params_tie_breaking_is_stable():
     # Equal timestamps keep input order: [1] arrives first, so [0, 1]
     # lands on the later node and each node absorbs one arrival.  The
     # reversed order would give one node both.
-    H = canonicalize([[1], [0, 1]], timestamps=[3, 3], dedup_edges=True)
+    H = dedup(canonicalize([[1], [0, 1]], timestamps=[3, 3]))
     p = learn_params(H)
     assert p.new_edges == {1: pytest.approx(1.0)}
 
 
 def test_learn_params_counts_silent_nodes_as_zero():
-    H = canonicalize([[0, 1, 2]], timestamps=[0], n=5, dedup_edges=True)
+    H = dedup(canonicalize([[0, 1, 2]], timestamps=[0], n=5))
     p = learn_params(H)
     assert p.new_edges == {0: pytest.approx(4 / 5), 1: pytest.approx(1 / 5)}
 
@@ -84,7 +85,7 @@ def test_learn_params_preconditions():
     with pytest.raises(ValidationError):
         learn_params(canonicalize([[0, 1]], timestamps=[0]))  # not deduplicated
     with pytest.raises(ValidationError):
-        learn_params(canonicalize([[0, 1]], dedup_edges=True))  # no timestamps
+        learn_params(dedup(canonicalize([[0, 1]])))  # no timestamps
 
 
 # --- group-degree index ----------------------------------------------------

@@ -123,6 +123,11 @@ def test_line_format_rejects_partial_timestamps(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_line_format(p)
     assert "all or no" in str(exc.value)
+    assert exc.value.line == 2
+    p = write(tmp_path / "h2.txt", "# c\n\n0 1 t=5\n2\n")
+    with pytest.raises(FormatError) as exc:
+        read_line_format(p)
+    assert exc.value.line == 4
 
 
 def test_line_format_bad_tokens(tmp_path):

@@ -184,9 +184,6 @@ def test_effective_diameter_errors():
     G = DecomposedGraph(level=1, nodes=ids(1), edge_array=np.empty((0, 2), dtype=np.int64))
     with pytest.raises(MetricError):
         effective_diameter(G)
-    K2 = graph_from_pairs([(0, 1)])
-    with pytest.raises(ValidationError):
-        effective_diameter(K2, q=1.5)
 
 
 def oracle_neighbours(G):

@@ -18,6 +18,7 @@ from hyperdecomp import (
     lilliefors_exp,
     loglik_ratio,
 )
+from hyperdecomp import tailfit
 from hyperdecomp.tailfit import (
     _TPL_ALPHA_HI,
     _TPL_ALPHA_LO,
@@ -40,7 +41,7 @@ def test_exponential_fit_closed_form():
     r = fit([2.0, 4.0], "exponential", xmin=2.0)
     assert r.params == pytest.approx((1.0,))
     assert r.log_likelihood == pytest.approx(2 * (math.log(1.0) - 1.0))
-    assert r.xmin == 2.0 and r.available
+    assert r.xmin == 2.0
 
 
 def test_exponential_xmin_defaults_to_minimum():
@@ -166,7 +167,6 @@ def test_truncated_powerlaw_is_argmax():
     data = base[base * rng.random(800) < 5.0][:400]  # soft truncation
     data = base if data.size < 50 else data
     r = fit(data, "truncated-powerlaw", xmin=1.0)
-    assert r.available
     alpha, lam = r.params
     best = tpl_loglik(data, alpha, lam, 1.0)
     assert r.log_likelihood == pytest.approx(best, rel=1e-6)
@@ -191,6 +191,28 @@ def test_fit_validation():
         fit([1.0], "powerlaw", xmin=-1.0)
     with pytest.raises(ValidationError):
         fit([1.0, 2.0], "cauchy")
+
+
+def test_overflowing_sample_mean_raises_fit_error():
+    for family in ("exponential", "powerlaw"):
+        with pytest.raises(FitError):
+            fit([1e308] * 6, family)
+    with pytest.raises(FitError):
+        heavy_tail_verdict([1e308] * 6)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the simplex
+def test_truncated_powerlaw_without_finite_point_raises(monkeypatch):
+    def overflow(alpha, lam, xmin):
+        raise OverflowError
+
+    monkeypatch.setattr(tailfit, "_tpl_log_normalizer", overflow)
+    data = pareto_sample(np.random.default_rng(2), 200, alpha=2.5)
+    with pytest.raises(FitError):
+        fit(data, "truncated-powerlaw")
+    with pytest.raises(FitError):
+        loglik_ratio(data, "truncated-powerlaw")
+    assert heavy_tail_verdict(data).ratios["truncated-powerlaw"] is None
 
 
 def test_degenerate_samples_do_not_crash():
@@ -271,13 +293,13 @@ def test_lilliefors_statistic_matches_statsmodels():
 
 
 def test_lilliefors_critical_monotone_in_n():
-    crits = [_lilliefors_critical(n, 0.025, 1000, 200902) for n in (50, 500, 5000)]
+    crits = [_lilliefors_critical(n) for n in (50, 500, 5000)]
     assert crits[0] > crits[1] > crits[2]
 
 
 def test_lilliefors_critical_cached_and_deterministic():
-    a = _lilliefors_critical(123, 0.025, 500, 200902)
-    b = _lilliefors_critical(123, 0.025, 500, 200902)
+    a = _lilliefors_critical(123)
+    b = _lilliefors_critical(123)
     assert a == b
 
 
