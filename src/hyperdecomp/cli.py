@@ -95,9 +95,12 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 def _workers() -> int:
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValidationError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def cmd_decompose(args) -> int:
@@ -148,11 +151,11 @@ def _analyze_level(H: Hypergraph, level: int, args, write) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    workers = _workers()
     H = dedup(_load_hypergraph(args))
     levels = _parse_levels(args.levels)
     os.makedirs(args.out, exist_ok=True)
     with _outputs() as write:
-        workers = _workers()
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_analyze_level, H, lv, args, write) for lv in levels]

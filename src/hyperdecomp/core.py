@@ -101,13 +101,41 @@ class Hypergraph:
         return max((len(e) for e in self.edges), default=0)
 
 
+def rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of an (M, k) table in lexicographic order, the index among them of
+    each input row and the first input row of each, as np.unique(axis=0) gives them."""
+    if len(rows) < 2:  # lexsort would take one key per column, even with no rows
+        return rows.copy(), np.zeros(len(rows), np.int64), np.zeros(len(rows), np.int64)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    fresh = np.append(True, np.any(ranked[1:] != ranked[:-1], axis=1))
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(fresh) - 1
+    return ranked[fresh], inverse, order[fresh]
+
+
+def _rows_increase(rows: np.ndarray) -> bool:
+    """Whether each row is lexicographically above the one before it, checked
+    a column at a time so that every temporary is a bool vector."""
+    if len(rows) < 2:
+        return True
+    tied = np.ones(len(rows) - 1, dtype=bool)
+    for j in range(rows.shape[1] - 1):
+        before, after = rows[:-1, j], rows[1:, j]
+        if np.any(tied & (after < before)):
+            return False
+        tied &= after == before
+    return not np.any(tied & (rows[1:, -1] <= rows[:-1, -1]))
+
+
 @dataclass(frozen=True, eq=False)
 class DecomposedGraph:
     """Simple undirected graph over k-subsets (level-k decomposition).
 
     Row i of the read-only `nodes` is the k-subset with dense index i;
     rows follow lexicographic subset order. `edge_array` holds one row
-    (u, v) per edge with u < v, rows sorted lexicographically.
+    (u, v) per edge with u < v, rows sorted lexicographically. Construction
+    checks all of this, so consumers may rely on it.
     """
 
     level: int
@@ -121,8 +149,18 @@ class DecomposedGraph:
             raise ValidationError("nodes must be an int64 array")
         if self.nodes.shape[1:] != (self.level,):
             raise ValidationError("nodes must have shape (N, level)")
-        if self.edge_array.ndim != 2 or self.edge_array.shape[1] != 2:
-            raise ValidationError("edge_array must have shape (E, 2)")
+        nodes, ends = self.nodes, self.edge_array
+        if nodes.min(initial=0) < 0 or not np.all(nodes[:, 1:] > nodes[:, :-1]):
+            raise ValidationError("node rows must be non-negative and strictly increasing")
+        if not _rows_increase(nodes):
+            raise ValidationError("node rows must be distinct and in lexicographic order")
+        if not isinstance(ends, np.ndarray) or ends.dtype != np.int64 or ends.shape[1:] != (2,):
+            raise ValidationError("edge_array must be an int64 array of shape (E, 2)")
+        u, v = ends[:, 0], ends[:, 1]
+        if u.min(initial=0) < 0 or v.max(initial=-1) >= len(nodes) or not np.all(u < v):
+            raise ValidationError(f"edge rows must satisfy 0 <= u < v < {len(nodes)}")
+        if not _rows_increase(ends):
+            raise ValidationError("edge rows must be distinct and in lexicographic order")
         self.nodes.setflags(write=False)
         self.edge_array.setflags(write=False)
 
@@ -180,6 +218,12 @@ class WeightedDecomposedGraph:
             raise ValidationError("all edge weights must be >= 1")
         if self.self_loops and self.base.level != 1:
             raise ValidationError("self-loops are only defined at level 1")
+        n = self.base.num_nodes
+        for node, count in self.self_loops.items():
+            if not 0 <= node < n:
+                raise ValidationError(f"self-loop on node index {node}, not in 0..{n - 1}")
+            if count < 1:
+                raise ValidationError(f"self-loop count {count} on node index {node} is not >= 1")
         self.weights.setflags(write=False)
 
     @property

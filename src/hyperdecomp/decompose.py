@@ -21,6 +21,7 @@ from .core import (
     KSubset,
     ValidationError,
     WeightedDecomposedGraph,
+    rank_rows,
 )
 
 __all__ = ["DecomposeConfig", "decompose", "decompose_weighted"]
@@ -88,20 +89,13 @@ def _collect(
     flat = np.concatenate([b.reshape(-1, k) for b in blocks] or [np.empty((0, k), np.int64)])
     del blocks
 
-    # Rank every subset in lexicographic order; equal subsets share a rank.
-    order = np.lexsort(flat.T[::-1])
-    ranked = flat[order]
-    fresh = np.ones(len(ranked), dtype=bool)
-    fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    nodes = ranked[fresh]
+    nodes, ids = rank_rows(flat)[:2]  # an id is the subset's lexicographic rank
+    del flat
     if len(nodes) >= MAX_PACKED_SUBSETS:
         raise ValidationError(
             f"level {k}: {len(nodes)} distinct subsets reach the pair-key "
             f"packing limit of {MAX_PACKED_SUBSETS}"
         )
-    ids = np.empty(len(flat), dtype=np.int64)
-    ids[order] = np.cumsum(fresh) - 1
-    del flat, ranked, order, fresh
 
     # A hyperedge's subsets are in lexicographic order, so ids increase
     # along a row and subset u is the lo end of its pairs with later columns.

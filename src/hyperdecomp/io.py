@@ -22,6 +22,7 @@ from .core import (
     ValidationError,
     WeightedDecomposedGraph,
     canonicalize,
+    rank_rows,
 )
 
 __all__ = [
@@ -285,11 +286,7 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
     for s, lineno in zip(subsets, first_lines):
         if len(s) != level:
             raise FormatError(path, lineno, f"subset {s} does not match level {level}")
-    rows = np.array(subsets, dtype=np.int64).reshape(-1, level)
-    nodes, node_of = rows, np.empty(0, dtype=np.int64)
-    if subsets:  # np.unique(axis=0) builds one field per column, even for no rows
-        nodes, inverse = np.unique(rows, axis=0, return_inverse=True)
-        node_of = inverse.ravel()
+    nodes, node_of = rank_rows(np.array(subsets, dtype=np.int64).reshape(-1, level))[:2]
 
     table = np.array(edges, dtype=np.int64).reshape(-1, 4)
     u, v, lines = node_of[table[:, 0]], node_of[table[:, 1]], table[:, 3]

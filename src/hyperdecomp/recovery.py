@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Hyperedge, Hypergraph, KSubset, ValidationError, WeightedDecomposedGraph
+from .core import Hyperedge, Hypergraph, KSubset, ValidationError, WeightedDecomposedGraph, rank_rows
 from .decompose import decompose_weighted
 
 __all__ = ["RecoveryError", "recover"]
@@ -33,25 +33,19 @@ def _edge(G: WeightedDecomposedGraph, row: int) -> tuple[KSubset, KSubset]:
 
 
 def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Index in `table` of each of the distinct `rows`, or -1 where absent."""
-    both = np.concatenate([table, rows])
-    # A stable sort puts each of `rows` right after its equal row of `table`.
-    order = np.lexsort(both.T[::-1])
-    at = np.flatnonzero(order >= len(table))
-    prev = order[at - 1]
-    same = (at > 0) & np.all(both[order[at]] == both[prev], axis=1)
-    pos = np.empty(len(rows), dtype=np.int64)
-    pos[order[at] - len(table)] = np.where(same, prev, -1)
+    """Index in the distinct-row `table` of each of `rows`, or -1 where absent."""
+    _, rank, first = rank_rows(np.concatenate([table, rows]))
+    # A row of `table` comes before its equal rows of `rows`, so it is met first.
+    pos = first[rank[len(table) :]]
+    pos[pos >= len(table)] = -1
     return pos
 
 
 def _subtract(G: WeightedDecomposedGraph, S: WeightedDecomposedGraph) -> np.ndarray:
     """G's weights minus those of S, a decomposition at the same level."""
     N, ends = G.base.num_nodes, G.base.edge_array
+    # Rows of both graphs are sorted, so `keys` is and the node map keeps u < v.
     keys = ends[:, 0] * N + ends[:, 1]
-    if np.any(ends[:, 0] >= ends[:, 1]) or np.any(np.diff(keys) <= 0):
-        raise ValidationError(f"level {G.level}: edge rows must be distinct, sorted, u < v")
-    # Both node arrays are sorted, so the node map is monotone and keeps u < v.
     pos = _find_rows(G.base.nodes, S.base.nodes)
     u, v = pos[S.base.edge_array[:, 0]], pos[S.base.edge_array[:, 1]]
     at = np.searchsorted(keys, u * N + v)
@@ -82,10 +76,8 @@ def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[np.ndarray, li
         raise RecoveryError(G.level, f"residual edge {edge} spans {got} nodes, not {size}")
     # Rows are sorted, so each union is first met at its smallest pair. All
     # size*(size-1)/2 edges of its clique must carry its multiplicity.
-    unions, first, inv = np.unique(
-        both[fresh].reshape(-1, size), axis=0, return_index=True, return_inverse=True
-    )
-    inv, mults = inv.ravel(), resid[rows[first]]
+    unions, inv, first = rank_rows(both[fresh].reshape(-1, size))
+    mults = resid[rows[first]]
     off = np.bincount(inv, weights=resid[rows] != mults[inv], minlength=len(unions))
     short = np.bincount(inv, minlength=len(unions)) != size * (size - 1) // 2
     bad = np.flatnonzero(short | (off > 0))
@@ -138,10 +130,6 @@ def recover(
         else:
             at = sorted(graphs[1].self_loops)
             found, mults = graphs[1].base.nodes[at], [graphs[1].self_loops[i] for i in at]
-            if mults and min(mults) < 1:
-                j = mults.index(min(mults))
-                node = tuple(found[j].tolist())
-                raise RecoveryError(1, f"self-loop count {mults[j]} on node {node}")
         if size < max_size:
             # Nodes on no edge of the level above (`node` lines in files) must
             # be size-`size` hyperedges, and each such hyperedge a node there.

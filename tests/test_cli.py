@@ -125,6 +125,16 @@ def test_analyze_failure_cleans_partial_outputs(small_input, tmp_path, monkeypat
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_analyze_rejects_bad_worker_count(small_input, tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv(cli.WORKERS_ENV, value)
+    out_dir = tmp_path / "reports"
+    assert run(["analyze", small_input, "--levels", "1", "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and cli.WORKERS_ENV in err
+    assert not out_dir.exists()
+
+
 def test_generate_hyperpa_manifest_and_determinism(tmp_path, capsys):
     data = write(
         tmp_path / "in.txt",

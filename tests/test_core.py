@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hyperdecomp import (
     DecomposedGraph,
@@ -12,8 +13,10 @@ from hyperdecomp import (
     ValidationError,
     WeightedDecomposedGraph,
     canonicalize,
+    decompose_weighted,
     dedup,
 )
+from hyperdecomp.core import rank_rows
 
 
 def test_canonicalize_sorts_and_dedups_members():
@@ -113,6 +116,100 @@ def test_decomposed_graph_validation_and_accessors():
             DecomposedGraph(level=1, nodes=bad, edge_array=arr)
     with pytest.raises(ValidationError):
         DecomposedGraph(level=2, nodes=nodes, edge_array=arr)
+
+
+def test_decomposed_graph_rejects_rows_out_of_order_or_range():
+    nodes = np.array([[0], [1], [2]], dtype=np.int64)
+
+    def graph(nodes, edges, dtype=np.int64):
+        return DecomposedGraph(level=1, nodes=nodes, edge_array=np.array(edges, dtype=dtype))
+
+    bad = [
+        (nodes, [[0, 1], [0, 1], [1, 2]]),  # a repeated edge counted twice in degrees()
+        (nodes[:2], [[0, 5]]),  # an endpoint past the last node
+        (nodes, [[-1, 1]]),
+        (nodes, [[1, 1]]),
+        (nodes, [[1, 0]]),
+        (nodes, [[1, 2], [0, 1]]),
+        (nodes[::-1], [[0, 1]]),
+        (nodes[[0, 0, 1]], [[0, 2]]),
+        (-nodes[::-1], []),
+    ]
+    for node_rows, edges in bad:
+        with pytest.raises(ValidationError):
+            graph(node_rows, edges)
+    with pytest.raises(ValidationError):
+        graph(nodes, [[0, 1]], dtype=np.int32)
+    no_edges = np.empty((0, 2), dtype=np.int64)
+    for rows in ([[0, 1], [1, 1]], [[1, 2], [0, 3]], [[0, 2], [0, 1]], [[0, 1], [0, 1]]):
+        with pytest.raises(ValidationError):
+            DecomposedGraph(level=2, nodes=np.array(rows, dtype=np.int64), edge_array=no_edges)
+    assert graph(nodes, [[0, 1], [0, 2], [1, 2]]).degrees().tolist() == [2, 2, 2]
+
+
+def test_self_loops_must_name_nodes_with_positive_counts():
+    G = decompose_weighted(canonicalize([[0, 1]]), 1)
+    for loops in ({-1: 2}, {5: 2}, {2: 1}, {0: 0}, {1: -3}):
+        with pytest.raises(ValidationError):
+            WeightedDecomposedGraph(base=G.base, weights=G.weights, self_loops=loops)
+    assert WeightedDecomposedGraph(base=G.base, weights=G.weights, self_loops={1: 2}).self_loops
+
+
+int64_tables = arrays(
+    np.int64,
+    st.tuples(st.integers(0, 40), st.integers(1, 4)),
+    elements=st.integers(0, 2) | st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int64_tables)
+@example(np.empty((0, 3), dtype=np.int64))
+@example(np.array([[7]], dtype=np.int64))
+@example(np.array([[3], [1], [3], [1], [3]], dtype=np.int64))
+@example(np.zeros((30, 2), dtype=np.int64))
+def test_rank_rows_matches_numpy_unique(table):
+    unique, index, inverse = np.unique(table, axis=0, return_index=True, return_inverse=True)
+    got_unique, got_inverse, got_index = rank_rows(table)
+    assert got_unique.shape == unique.shape and np.array_equal(got_unique, unique)
+    assert np.array_equal(got_inverse, inverse.ravel())
+    assert np.array_equal(got_index, index)
+    assert got_unique.dtype == got_inverse.dtype == got_index.dtype == np.int64
+
+
+@st.composite
+def subset_rows(draw):
+    k = draw(st.integers(1, 3))
+    subset = st.sets(st.integers(0, 4), min_size=k, max_size=k).map(lambda s: tuple(sorted(s)))
+    return k, draw(st.lists(subset, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_rows())
+def test_node_rows_are_accepted_exactly_when_sorted_and_distinct(drawn):
+    k, rows = drawn
+    nodes = np.array(rows, dtype=np.int64).reshape(-1, k)
+    no_edges = np.empty((0, 2), dtype=np.int64)
+    if rows == sorted(set(rows)):
+        assert DecomposedGraph(level=k, nodes=nodes, edge_array=no_edges).nodes.tolist() == [
+            list(r) for r in rows
+        ]
+    else:
+        with pytest.raises(ValidationError):
+            DecomposedGraph(level=k, nodes=nodes, edge_array=no_edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 4), min_size=2, max_size=2).map(sorted), max_size=8))
+def test_edge_rows_are_accepted_exactly_when_sorted_and_distinct(pairs):
+    rows = [tuple(p) for p in pairs]
+    nodes = np.arange(5, dtype=np.int64).reshape(-1, 1)
+    edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    if rows == sorted(set(rows)):
+        assert DecomposedGraph(level=1, nodes=nodes, edge_array=edges).num_edges == len(rows)
+    else:
+        with pytest.raises(ValidationError):
+            DecomposedGraph(level=1, nodes=nodes, edge_array=edges)
 
 
 def test_weighted_graph_validation():

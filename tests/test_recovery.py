@@ -182,12 +182,29 @@ def test_isolated_node_without_hyperedge_is_detected():
 
 def test_unsorted_edge_rows_are_rejected():
     H = canonicalize([[0, 1, 2]])
-    graphs = stack(H)
-    base = graphs[1].base
-    flipped = DecomposedGraph(level=1, nodes=base.nodes, edge_array=base.edge_array[::-1])
-    graphs[1] = WeightedDecomposedGraph(base=flipped, weights=graphs[1].weights[::-1])
+    base = stack(H)[1].base
     with pytest.raises(ValidationError):
-        recover(graphs)
+        DecomposedGraph(level=1, nodes=base.nodes, edge_array=base.edge_array[::-1])
+
+
+def test_permuted_node_rows_are_rejected():
+    # Recovery matches subsets by row order; a permuted node table used to
+    # surface there as a false "edge ((0,), (1,)) has weight 0".
+    base = stack(canonicalize([[0, 1, 2]]))[1].base
+    with pytest.raises(ValidationError):
+        DecomposedGraph(level=1, nodes=base.nodes[[1, 0, 2]], edge_array=base.edge_array)
+
+
+def test_empty_weighted_file_at_a_huge_level_reads_and_reports_missing_levels(tmp_path):
+    # No subset lines: the node table is (0, 2**40) and must not be ranked
+    # or checked column by column.
+    path = tmp_path / "wide.txt"
+    path.write_text(f"# level={2**40}\n")
+    G = read_weighted_graph(str(path))
+    assert (G.level, G.base.num_nodes, G.base.num_edges) == (2**40, 0, 0)
+    with pytest.raises(ValidationError, match="missing, first 1$") as exc:
+        recover({2**40: G})
+    assert len(str(exc.value)) < 80
 
 
 def test_level_one_self_loop_count_drives_singletons():
