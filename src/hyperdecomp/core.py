@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,6 +128,29 @@ def _rows_increase(rows: np.ndarray) -> bool:
     return not np.any(tied & (rows[1:, -1] <= rows[:-1, -1]))
 
 
+def _adjacency(n: int, u: np.ndarray, v: np.ndarray):
+    """Symmetric n x n int8 CSR matrix with ones at (u, v) and (v, u)."""
+    from scipy.sparse import coo_matrix
+
+    data = np.ones(2 * len(u), dtype=np.int8)
+    return coo_matrix((data, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)).tocsr()
+
+
+class _Components(NamedTuple):
+    """A graph's connected components as diagonal blocks of a permuted adjacency.
+
+    Component c (numbered as scipy's `connected_components` labels them)
+    holds positions bounds[c]:bounds[c + 1]; node i sits at position[i], in
+    node order within its component; `csr` is the adjacency with rows and
+    columns in position order, so it is block-diagonal.
+    """
+
+    labels: np.ndarray
+    position: np.ndarray
+    bounds: np.ndarray
+    csr: Any
+
+
 @dataclass(frozen=True, eq=False)
 class DecomposedGraph:
     """Simple undirected graph over k-subsets (level-k decomposition).
@@ -175,17 +198,24 @@ class DecomposedGraph:
     @cached_property
     def _csr(self):
         """Symmetric 0/1 adjacency in CSR form (scipy)."""
-        from scipy.sparse import coo_matrix
+        u, v = self.edge_array.T
+        return _adjacency(self.num_nodes, u, v)
+
+    @cached_property
+    def _components(self) -> _Components:
+        """Connected components laid out as contiguous diagonal blocks."""
+        from scipy.sparse import csgraph
 
         n = self.num_nodes
-        if self.num_edges == 0:
-            return coo_matrix((n, n), dtype=np.int8).tocsr()
-        u = self.edge_array[:, 0]
-        v = self.edge_array[:, 1]
-        row = np.concatenate([u, v])
-        col = np.concatenate([v, u])
-        data = np.ones(row.shape[0], dtype=np.int8)
-        return coo_matrix((data, (row, col)), shape=(n, n)).tocsr()
+        count, labels = csgraph.connected_components(self._csr, directed=False)
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(labels, minlength=count), out=bounds[1:])
+        if np.all(labels[1:] >= labels[:-1]):  # already in component order
+            return _Components(labels, np.arange(n, dtype=np.int64), bounds, self._csr)
+        position = np.empty(n, dtype=np.int64)
+        position[np.argsort(labels, kind="stable")] = np.arange(n, dtype=np.int64)
+        u, v = self.edge_array.T
+        return _Components(labels, position, bounds, _adjacency(n, position[u], position[v]))
 
     def adjacency_csr(self):
         return self._csr

@@ -61,6 +61,28 @@ class DecomposeConfig:
         return cls(level=level, max_edge_size=max_edge_size)
 
 
+def _pair_keys(ids: np.ndarray, shapes: list[tuple[int, int]]) -> np.ndarray:
+    """Unsorted (lo << 32) | hi keys of every subset pair within a hyperedge.
+
+    `ids` holds each size block's (m, c) subset ids row by row. A
+    hyperedge's subsets are in lexicographic order, so ids increase along a
+    row and subset u is the lo end of its pairs with later columns.
+    """
+    keys = np.empty(sum(m * c * (c - 1) // 2 for m, c in shapes), dtype=np.int64)
+    start = pos = 0
+    for m, c in shapes:
+        row_ids = ids[start : start + m * c].reshape(m, c)
+        out = keys[pos : pos + m * c * (c - 1) // 2].reshape(m, -1)
+        col = 0
+        for u in range(c - 1):
+            width = c - 1 - u
+            lo = row_ids[:, u, None] << 32
+            np.bitwise_or(lo, row_ids[:, u + 1 :], out=out[:, col : col + width])
+            col += width
+        start, pos = start + m * c, pos + out.size
+    return keys
+
+
 def _collect(
     member_lists: Iterable[KSubset],
     k: int,
@@ -97,21 +119,8 @@ def _collect(
             f"packing limit of {MAX_PACKED_SUBSETS}"
         )
 
-    # A hyperedge's subsets are in lexicographic order, so ids increase
-    # along a row and subset u is the lo end of its pairs with later columns.
-    keys = np.empty(sum(m * c * (c - 1) // 2 for m, c in shapes), dtype=np.int64)
-    start = pos = 0
-    for m, c in shapes:
-        row_ids = ids[start : start + m * c].reshape(m, c)
-        out = keys[pos : pos + m * c * (c - 1) // 2].reshape(m, -1)
-        col = 0
-        for u in range(c - 1):
-            width = c - 1 - u
-            lo = row_ids[:, u, None] << 32
-            np.bitwise_or(lo, row_ids[:, u + 1 :], out=out[:, col : col + width])
-            col += width
-        start, pos = start + m * c, pos + out.size
-
+    keys = _pair_keys(ids, shapes)
+    del ids
     keys.sort()
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]

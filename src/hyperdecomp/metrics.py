@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DecomposedGraph, ValidationError
+from .core import DecomposedGraph, ValidationError, _Components
 
 # scipy is imported inside the functions that need it, so importing this
 # module (and with it the CLI) stays cheap for commands that never measure.
@@ -78,10 +78,7 @@ def connected_components(G: DecomposedGraph) -> ComponentReport:
     n = G.num_nodes
     if n == 0:
         return ComponentReport(sizes=(), largest_frac=0.0, second_frac=0.0, is_giant=False)
-    from scipy.sparse import csgraph
-
-    _, labels = csgraph.connected_components(G.adjacency_csr(), directed=False)
-    sizes = np.sort(np.bincount(labels))[::-1]
+    sizes = np.sort(np.diff(G._components.bounds))[::-1]
     largest_frac = sizes[0] / n
     second_frac = (sizes[1] / n) if sizes.shape[0] > 1 else (1.0 / n)
     return ComponentReport(
@@ -110,26 +107,45 @@ else:
         return int(_POP_TABLE[words.view(np.uint8)].sum())
 
 
-def _distance_histogram(
-    adj: sp.csr_matrix, sources: np.ndarray, n: int
-) -> np.ndarray:
+def _block(csr, lo: int, hi: int):
+    """Rows and columns lo:hi of a block-diagonal CSR matrix, for lo and hi
+    on block bounds, where that submatrix holds one contiguous slice of
+    the nonzeros."""
+    from scipy.sparse import csr_matrix
+
+    start, stop = csr.indptr[lo], csr.indptr[hi]
+    return csr_matrix(
+        (csr.data[start:stop], csr.indices[start:stop] - lo, csr.indptr[lo : hi + 1] - start),
+        shape=(hi - lo, hi - lo),
+    )
+
+
+def _distance_histogram(comps: _Components, sources: np.ndarray) -> np.ndarray:
     """Histogram of positive BFS distances from the given sources.
 
-    Runs 64 simultaneous breadth-first searches per pass by packing one
-    source per bit of a uint64 frontier vector; per-node neighborhood ORs
-    come from a reduceat over the CSR index array.
+    Sources are sorted positions of the component-ordered adjacency. Runs
+    64 simultaneous breadth-first searches per pass by packing one source
+    per bit of a uint64 frontier vector; per-node neighborhood ORs come
+    from a reduceat over the CSR index array. A pass searches only the
+    components its sources lie in, a closed range of rows.
     """
-    indices = adj.indices.astype(np.int64)
-    indptr = adj.indptr.astype(np.int64)
-    empty_rows = indptr[:-1] == indptr[1:]
-    # reduceat demands in-range offsets; empty rows are zeroed afterwards.
-    offsets = np.minimum(indptr[:-1], max(indices.size - 1, 0))
+    source_comp = np.searchsorted(comps.bounds, sources, side="right") - 1
     hist: list[int] = [0]
+    rows = None
     for start in range(0, sources.shape[0], 64):
-        batch = sources[start : start + 64]
-        frontier = np.zeros(n, dtype=np.uint64)
+        lo = int(comps.bounds[source_comp[start]])
+        hi = int(comps.bounds[source_comp[start : start + 64][-1] + 1])
+        if rows != (lo, hi):  # consecutive passes often share a component
+            rows, block = (lo, hi), _block(comps.csr, lo, hi)
+            # Index hi - lo is a frontier entry that stays zero, so the last
+            # nonempty row's segment runs to the end even when empty rows follow.
+            indices = np.append(block.indices, hi - lo)
+            offsets = block.indptr[:-1]
+            empty_rows = offsets == block.indptr[1:]
+        frontier = np.zeros(hi - lo + 1, dtype=np.uint64)
+        batch = sources[start : start + 64] - lo
         frontier[batch] |= np.uint64(1) << np.arange(batch.size, dtype=np.uint64)
-        visited = frontier.copy()
+        visited = frontier[:-1].copy()
         d = 0
         while True:
             d += 1
@@ -143,7 +159,7 @@ def _distance_histogram(
                 hist.append(0)
             hist[d] += reached
             visited |= new
-            frontier = new
+            frontier[:-1] = new
     return np.array(hist, dtype=np.int64)
 
 
@@ -164,13 +180,14 @@ def effective_diameter(
     n = G.num_nodes
     if n == 0 or G.num_edges == 0:
         raise MetricError("effective diameter undefined: no connected pairs")
+    comps = G._components
     if n <= exact_threshold or num_sources >= n:
         sources = np.arange(n, dtype=np.int64)
     else:
         rng = np.random.default_rng(seed)
-        sources = np.sort(rng.choice(n, size=num_sources, replace=False))
+        sources = np.sort(comps.position[rng.choice(n, size=num_sources, replace=False)])
 
-    hist = _distance_histogram(G.adjacency_csr(), sources, n)
+    hist = _distance_histogram(comps, sources)
     counts = hist[1:].astype(np.float64)
     if counts.size == 0 or counts.sum() == 0:
         raise MetricError("effective diameter undefined: no connected pairs")
@@ -237,11 +254,16 @@ def singular_values(
 ) -> SingularSpectrum:
     """Top-m singular values of the 0/1 adjacency matrix, descending.
 
-    For the symmetric adjacency these are eigenvalue magnitudes, computed
-    with restarted Lanczos iteration; requests covering essentially the
-    whole spectrum (m > n - 2) fall back to a dense eigensolver, which the
-    iterative machinery cannot serve. That fallback raises MetricError
-    instead of allocating a dense matrix above DENSE_FALLBACK_MAX_BYTES.
+    For the symmetric adjacency these are eigenvalue magnitudes. The
+    adjacency is block-diagonal by connected component, so its spectrum is
+    the union of the components' spectra, each counted with its own
+    multiplicity: the top min(m, s) of every s-node component are merged.
+    A component with m <= s - 2 is solved by restarted Lanczos iteration;
+    one whose request covers essentially its whole spectrum (m > s - 2)
+    goes to a dense eigensolver, which the iterative machinery cannot
+    serve. That fallback raises MetricError instead of allocating a dense
+    matrix above DENSE_FALLBACK_MAX_BYTES, for the whole graph (m > n - 2)
+    as for any component.
     """
     n = G.num_nodes
     if m is None:
@@ -254,34 +276,89 @@ def singular_values(
     if G.num_edges == 0:
         return SingularSpectrum(values=(0.0,) * m, requested=m)
 
-    dense = m > n - 2
-    if dense and n * n * 8 > DENSE_FALLBACK_MAX_BYTES:
+    if m > n - 2 and n * n * 8 > DENSE_FALLBACK_MAX_BYTES:
         raise MetricError(
             f"dense eigensolver fallback for m={m} on n={n} nodes needs "
             f"{n * n * 8} bytes, above the {DENSE_FALLBACK_MAX_BYTES}-byte "
             "limit; request m <= n - 2"
         )
-    adj = G.adjacency_csr().astype(np.float64)
-    if dense:
-        eigs = np.linalg.eigvalsh(adj.toarray())
-    else:
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-        # Deterministic start vector keeps repeated runs identical.
-        v0 = np.random.default_rng(0x5EED).standard_normal(n)
-        try:
-            eigs = eigsh(
-                adj,
-                k=m,
-                which="LM",
-                tol=rel_tol,
-                maxiter=max_iter if max_iter is not None else n * 50,
-                v0=v0,
-                return_eigenvectors=False,
-            )
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"Lanczos iteration failed to converge for k={m}"
-            ) from exc
-    vals = np.sort(np.abs(eigs))[::-1][:m]
+    comps = G._components
+    sizes = np.diff(comps.bounds)
+    s = int(sizes[sizes < m + 2].max(initial=0))
+    if s * s * 8 > DENSE_FALLBACK_MAX_BYTES:
+        raise MetricError(
+            f"dense eigensolver fallback for m={m} on a {s}-node component "
+            f"needs {s * s * 8} bytes, above the {DENSE_FALLBACK_MAX_BYTES}-byte "
+            f"limit; request m <= {s - 2}"
+        )
+    parts = _dense_magnitudes(G, comps, m)
+    parts += [
+        _lanczos_magnitudes(_block(comps.csr, lo, hi).astype(np.float64), m, rel_tol, max_iter)
+        for lo, hi in zip(comps.bounds[:-1], comps.bounds[1:])
+        if hi - lo >= m + 2
+    ]
+    vals = np.sort(np.concatenate(parts))[::-1][:m]
     return SingularSpectrum(values=tuple(float(v) for v in vals), requested=m)
+
+
+def _dense_magnitudes(G: DecomposedGraph, comps: _Components, m: int) -> list[np.ndarray]:
+    """Top min(m, s) eigenvalue magnitudes of every s-node component with
+    m > s - 2, the components the iterative solver cannot serve.
+
+    Components of one size are solved together: their adjacencies are
+    written straight from the edge list into (count, s, s) stacks of at
+    most DENSE_FALLBACK_MAX_BYTES, one batched eigvalsh each.
+    """
+    sizes = np.diff(comps.bounds)
+    dense = np.flatnonzero(sizes < m + 2)
+    dense = dense[np.argsort(sizes[dense], kind="stable")]
+    slot = np.full(sizes.size, -1, dtype=np.int64)
+    slot[dense] = np.arange(dense.size)
+    u, v = G.edge_array.T
+    edge_slot = slot[comps.labels[u]]
+    mine = np.flatnonzero(edge_slot >= 0)
+    mine = mine[np.argsort(edge_slot[mine], kind="stable")]
+    u, v, edge_slot = u[mine], v[mine], edge_slot[mine]
+    start = comps.bounds[comps.labels[u]]
+    lu, lv = comps.position[u] - start, comps.position[v] - start
+    out = []
+    group_starts = np.flatnonzero(np.diff(sizes[dense], prepend=-1))
+    for a, b in zip(group_starts, [*group_starts[1:], dense.size]):
+        s = int(sizes[dense[a]])
+        per_stack = DENSE_FALLBACK_MAX_BYTES // (s * s * 8)
+        for first in range(a, b, per_stack):
+            last = min(first + per_stack, b)
+            lo, hi = np.searchsorted(edge_slot, [first, last])
+            at = edge_slot[lo:hi] - first
+            stack = np.zeros((last - first, s, s))
+            stack[at, lu[lo:hi], lv[lo:hi]] = 1.0
+            stack[at, lv[lo:hi], lu[lo:hi]] = 1.0
+            mags = np.sort(np.abs(np.linalg.eigvalsh(stack)), axis=1)
+            out.append(mags[:, ::-1][:, :m].ravel())
+    return out
+
+
+def _lanczos_magnitudes(
+    block: sp.csr_matrix, m: int, rel_tol: float, max_iter: int | None
+) -> np.ndarray:
+    """Top-m eigenvalue magnitudes of one component by restarted Lanczos."""
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    s = block.shape[0]
+    # Deterministic start vector keeps repeated runs identical.
+    v0 = np.random.default_rng(0x5EED).standard_normal(s)
+    try:
+        eigs = eigsh(
+            block,
+            k=m,
+            which="LM",
+            tol=rel_tol,
+            maxiter=max_iter if max_iter is not None else s * 50,
+            v0=v0,
+            return_eigenvectors=False,
+        )
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"Lanczos iteration failed to converge for k={m} on a {s}-node component"
+        ) from exc
+    return np.abs(eigs)

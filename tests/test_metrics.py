@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdecomp import (
@@ -80,9 +80,9 @@ def oracle_component_sizes(G):
     return sorted(sizes.values(), reverse=True)
 
 
-def oracle_effective_diameter(G, q=0.9):
+def oracle_effective_diameter(G, q=0.9, sources=None):
     """Dense shortest-path matrix plus the interpolation definition."""
-    dist = csgraph.shortest_path(G.adjacency_csr(), method="D", unweighted=True)
+    dist = csgraph.shortest_path(G.adjacency_csr(), method="D", unweighted=True, indices=sources)
     finite = dist[np.isfinite(dist) & (dist > 0)]
     values = np.sort(finite)
     total = values.size
@@ -184,6 +184,78 @@ def test_effective_diameter_errors():
     G = DecomposedGraph(level=1, nodes=ids(1), edge_array=np.empty((0, 2), dtype=np.int64))
     with pytest.raises(MetricError):
         effective_diameter(G)
+
+
+def test_effective_diameter_counts_the_last_row_before_trailing_isolated_nodes():
+    # Node 2's second neighbour is the last CSR entry; node 3 has none.
+    G = graph_from_pairs([(0, 2), (1, 2)], extra_isolated=1)
+    assert effective_diameter(G) == pytest.approx(oracle_effective_diameter(G))
+    assert effective_diameter(G) == pytest.approx(1.7)
+
+
+def graph_on(n, pairs):
+    """Level-1 graph on nodes 0..n-1 with the given undirected pairs."""
+    edges = np.unique(np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1), axis=0)
+    return DecomposedGraph(level=1, nodes=ids(n), edge_array=edges)
+
+
+def component_pairs(rng, kind, s):
+    """Edges of one s-node component on nodes 0..s-1."""
+    if kind == "clique":
+        return [(i, j) for i in range(s) for j in range(i + 1, s)]
+    if kind == "path":
+        return [(i, i + 1) for i in range(s - 1)]
+    # A random spanning tree plus random chords keeps it connected.
+    tree = [(int(rng.integers(0, i)), i) for i in range(1, s)]
+    return tree + [(i, j) for i in range(s) for j in range(i + 1, s) if rng.random() < 0.2]
+
+
+@st.composite
+def shattered_graphs(draw):
+    """A graph of random components under a random node numbering, often
+    followed by isolated nodes, and a spectrum request size for it."""
+    parts = draw(st.lists(
+        st.tuples(st.sampled_from(["clique", "path", "random"]), st.integers(1, 30)),
+        min_size=1, max_size=8,
+    ))
+    trailing = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs, n = [], 0
+    for kind, s in parts:
+        pairs += [(n + u, n + v) for u, v in component_pairs(rng, kind, s)]
+        n += s
+    label = rng.permutation(n)
+    G = graph_on(n + trailing, [(label[u], label[v]) for u, v in pairs])
+    return G, draw(st.integers(1, G.num_nodes))
+
+
+def twenty_k6_and_a_path():
+    k6 = [(6 * c + i, 6 * c + j) for c in range(20) for i in range(6) for j in range(i + 1, 6)]
+    return graph_on(320, k6 + [(i, i + 1) for i in range(120, 319)])
+
+
+def oracle_distance_counts(G, sources):
+    dist = csgraph.shortest_path(G.adjacency_csr(), method="D", unweighted=True, indices=sources)
+    return np.bincount(dist[np.isfinite(dist) & (dist > 0)].astype(np.int64), minlength=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=shattered_graphs(), data=st.data())
+def test_blocked_bfs_matches_shortest_paths(case, data):
+    G, _ = case
+    comps = G._components
+    everyone = np.arange(G.num_nodes)
+    hist = metrics_mod._distance_histogram(comps, everyone)
+    assert hist.tolist() == oracle_distance_counts(G, everyone).tolist()
+
+    k = data.draw(st.integers(1, G.num_nodes))
+    seed = data.draw(st.integers(0, 1000))
+    drawn = np.random.default_rng(seed).choice(G.num_nodes, size=k, replace=False)
+    hist = metrics_mod._distance_histogram(comps, np.sort(comps.position[drawn]))
+    assert hist.tolist() == oracle_distance_counts(G, drawn).tolist()
+    if k < G.num_nodes and hist.sum() > 0:
+        sampled = effective_diameter(G, exact_threshold=0, num_sources=k, seed=seed)
+        assert sampled == pytest.approx(oracle_effective_diameter(G, sources=drawn), abs=1e-12)
 
 
 def oracle_neighbours(G):
@@ -319,6 +391,44 @@ def test_singular_values_iterative_matches_dense_svd():
         assert np.all(np.abs(got - want) <= 1e-6 * scale)
 
 
+@settings(max_examples=80, deadline=None)
+@given(case=shattered_graphs())
+@example(case=(twenty_k6_and_a_path(), 50))
+def test_block_spectrum_matches_dense_eigenvalues(case):
+    G, m = case
+    got = np.array(singular_values(G, m=m).values)
+    dense = np.linalg.eigvalsh(G.adjacency_csr().toarray().astype(float))
+    want = np.sort(np.abs(dense))[::-1][:m]
+    assert np.all(np.abs(got - want) <= 1e-6 * max(1.0, float(want[0])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_connected_spectrum_is_the_whole_graph_solve(n, seed, data):
+    from scipy.sparse.linalg import eigsh
+
+    G = graph_on(n, component_pairs(np.random.default_rng(seed), "random", n))
+    m = data.draw(st.integers(1, n))
+    adj = G.adjacency_csr().astype(np.float64)
+    if m > n - 2:
+        eigs = np.linalg.eigvalsh(adj.toarray())
+    else:
+        v0 = np.random.default_rng(0x5EED).standard_normal(n)
+        eigs = eigsh(adj, k=m, which="LM", tol=1e-8, maxiter=n * 50, v0=v0,
+                     return_eigenvectors=False)
+    assert singular_values(G, m=m).values == tuple(np.sort(np.abs(eigs))[::-1][:m].tolist())
+
+
+def test_dense_blocks_are_stacked_within_the_byte_limit(monkeypatch):
+    G = twenty_k6_and_a_path()
+    whole = singular_values(G, m=50).values
+    monkeypatch.setattr(metrics_mod, "DENSE_FALLBACK_MAX_BYTES", 3 * 6 * 6 * 8)
+    assert singular_values(G, m=50).values == whole
+    monkeypatch.setattr(metrics_mod, "DENSE_FALLBACK_MAX_BYTES", 6 * 6 * 8 - 1)
+    with pytest.raises(MetricError, match="6-node component needs 288 bytes"):
+        singular_values(G, m=50)
+
+
 def test_singular_values_deterministic():
     rng = np.random.default_rng(2)
     G = random_graph(rng, 50, 0.2)
@@ -389,3 +499,13 @@ def test_dense_fallback_limit_is_inclusive(monkeypatch):
         singular_values(G, m=6)
     # The iterative path allocates no dense matrix and is not limited.
     assert len(singular_values(G, m=4).values) == 4
+
+
+def test_dense_fallback_refuses_components_over_two_gib():
+    # m <= n - 2, so only the guard on the 16,385-node path component can fire.
+    s = 16_385
+    G = DecomposedGraph(level=1, nodes=ids(s + 3), edge_array=path_graph(s).edge_array)
+    with pytest.raises(MetricError) as info:
+        singular_values(G, m=16_384)
+    assert f"{s}-node component" in str(info.value)
+    assert str(s * s * 8) in str(info.value)
