@@ -3,7 +3,8 @@
 Subcommands: decompose, analyze, generate, evaluate, recover. All outputs
 are written atomically (temp file plus rename); on failure partial outputs
 are removed and the exit status is nonzero. Every random choice flows from
---seed, so identical invocations give identical files.
+the --seed of analyze, generate and evaluate, so identical invocations give
+identical files.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _analyze_level(H: Hypergraph, level: int, args, write) -> dict:
             summary["degree_tail"] = heavy_tail_verdict(degrees).to_dict()
         except FitError as exc:  # degenerate degree samples stay reportable
             summary["degree_tail_error"] = str(exc)
-        spectrum = singular_values(G, m=min(args.sv_count, G.num_nodes))
+        spectrum = singular_values(G, m=args.sv_count)
         write(prefix + "-spectrum.tsv", lambda p: hio.write_spectrum_tsv(spectrum.values, p))
     write(prefix + ".json", lambda p: hio.write_report(summary, p))
     return summary
@@ -279,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="write one decomposition level")
-    _add_seed(p)
     _add_input_args(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--max-edge-size", type=int, default=None)
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("recover", help="rebuild hyperedges from weighted levels")
-    _add_seed(p)
     p.add_argument("graphs", nargs="+", help="weighted decomposition files")
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--out", required=True)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,29 +35,13 @@ class ValidationError(ValueError):
 KSubset = tuple[int, ...]
 
 
-def _check_members(members: Sequence[int]) -> None:
-    if len(members) == 0:
-        raise ValidationError("hyperedge must contain at least one node")
-    prev = -1
-    for m in members:
-        if m < 0:
-            raise ValidationError(f"negative node id {m}")
-        if m <= prev:
-            raise ValidationError(
-                f"members must be strictly increasing, got {tuple(members)}"
-            )
-        prev = m
-
-
 @dataclass(frozen=True)
 class Hyperedge:
-    """A set of nodes that appeared together, with an optional timestamp."""
+    """A set of nodes that appeared together, with an optional timestamp:
+    a value read out of a Hypergraph, which checks the members."""
 
     members: KSubset
     timestamp: int | None = None
-
-    def __post_init__(self) -> None:
-        _check_members(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -65,40 +50,110 @@ class Hyperedge:
         return iter(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """Node universe 0..n-1 plus a multiset of hyperedges."""
+    """Node universe 0..n-1 plus a multiset of hyperedges, stored flat.
+
+    Hyperedge i is members[offsets[i]:offsets[i + 1]], strictly increasing
+    and non-empty; `timestamps` holds one value per hyperedge, or is None.
+    All three are read-only int64 arrays, checked on construction.
+    """
 
     n: int
-    edges: tuple[Hyperedge, ...]
+    offsets: np.ndarray  # shape (E + 1,)
+    members: np.ndarray  # shape (offsets[-1],)
+    timestamps: np.ndarray | None = None  # shape (E,)
     deduplicated: bool = False
 
     def __post_init__(self) -> None:
+        arrays = [a for a in (self.offsets, self.members, self.timestamps) if a is not None]
+        for a in arrays:
+            if not isinstance(a, np.ndarray) or a.dtype != np.int64 or a.ndim != 1:
+                raise ValidationError("offsets, members and timestamps must be 1-D int64 arrays")
+        offsets, members = self.offsets, self.members
+        sizes = np.diff(offsets)
+        if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(members) or np.any(sizes < 0):
+            raise ValidationError("offsets must rise from 0 to the number of members")
+        if np.any(sizes == 0):
+            raise ValidationError(f"hyperedge {np.argmin(sizes)} is empty")
+        if members.min(initial=0) < 0:
+            raise ValidationError(f"negative node id {members.min()}")
         if self.n < 0:
             raise ValidationError("node count must be non-negative")
-        for e in self.edges:
-            if e.members[-1] >= self.n:
-                raise ValidationError(
-                    f"member {e.members[-1]} out of range for n={self.n}"
-                )
+        if members.max(initial=-1) >= self.n:
+            raise ValidationError(f"member {members.max()} out of range for n={self.n}")
+        rises = members[1:] > members[:-1]
+        rises[offsets[1:-1] - 1] = True  # a hyperedge may start below the last one's end
+        if not rises.all():
+            i = np.searchsorted(offsets, np.argmin(rises), side="right") - 1
+            raise ValidationError(f"members of hyperedge {i} must be strictly increasing")
+        if self.timestamps is not None and len(self.timestamps) != len(sizes):
+            raise ValidationError("timestamps must align with the hyperedges")
         if self.deduplicated:
-            seen = set()
-            for e in self.edges:
-                if e.members in seen:
-                    raise ValidationError(
-                        f"duplicate hyperedge {e.members} in deduplicated hypergraph"
-                    )
-                seen.add(e.members)
+            repeat = np.flatnonzero(_first_copies(self) != np.arange(len(sizes)))
+            if repeat.size:
+                edge = tuple(members[offsets[repeat[0]] : offsets[repeat[0] + 1]].tolist())
+                raise ValidationError(f"duplicate hyperedge {edge} in deduplicated hypergraph")
+        for a in arrays:
+            a.setflags(write=False)
+
+    def _key(self) -> tuple:
+        stamps = None if self.timestamps is None else self.timestamps.tobytes()
+        return (self.n, self.deduplicated, self.offsets.tobytes(), self.members.tobytes(), stamps)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Hypergraph) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.offsets) - 1
+
+    @property
+    def edges(self) -> tuple[Hyperedge, ...]:
+        """The hyperedges as values, built on each access."""
+        stamps = [None] * self.num_edges if self.timestamps is None else self.timestamps.tolist()
+        return tuple(map(Hyperedge, self.member_tuples(), stamps))
 
     def member_tuples(self) -> list[KSubset]:
-        return [e.members for e in self.edges]
+        ids, bounds = self.members.tolist(), self.offsets.tolist()
+        return [tuple(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
     def max_edge_size(self) -> int:
-        return max((len(e) for e in self.edges), default=0)
+        return int(np.diff(self.offsets).max(initial=0))
+
+    def size_blocks(
+        self, smallest: int = 1, largest: int | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """For each hyperedge size s in smallest..largest, ascending: the
+        indices of the size-s hyperedges, in order, and their (m_s, s) members."""
+        sizes = np.diff(self.offsets)
+        top = sizes.max(initial=0) if largest is None else largest
+        keep = np.flatnonzero((sizes >= smallest) & (sizes <= top))
+        keep = keep[np.argsort(sizes[keep], kind="stable")]
+        for idx in np.split(keep, np.flatnonzero(np.diff(sizes[keep])) + 1):
+            if idx.size:
+                yield idx, self.members[self.offsets[idx, None] + np.arange(sizes[idx[0]])]
+
+
+def pack_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and flat members of a list of integer rows, as int64 arrays."""
+    offsets = np.append(0, np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows))))
+    try:
+        return offsets, np.fromiter(chain.from_iterable(rows), np.int64, int(offsets[-1]))
+    except (TypeError, OverflowError):
+        raise ValidationError("ids and timestamps must be integers in the int64 range") from None
+
+
+def _first_copies(H: Hypergraph) -> np.ndarray:
+    """Index of the first hyperedge with the same members as each hyperedge."""
+    first = np.arange(H.num_edges)
+    for idx, rows in H.size_blocks():
+        _, inverse, head = rank_rows(rows)
+        first[idx] = idx[head][inverse]
+    return first
 
 
 def rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,8 +307,8 @@ class WeightedDecomposedGraph:
         for node, count in self.self_loops.items():
             if not 0 <= node < n:
                 raise ValidationError(f"self-loop on node index {node}, not in 0..{n - 1}")
-            if count < 1:
-                raise ValidationError(f"self-loop count {count} on node index {node} is not >= 1")
+            if not 1 <= count < 2**63:  # counts are multiplicities stored as int64
+                raise ValidationError(f"self-loop count {count} on node {node} not in 1..2**63 - 1")
         self.weights.setflags(write=False)
 
     @property
@@ -269,41 +324,33 @@ def canonicalize(
     """Normalize raw integer sequences into a canonical Hypergraph.
 
     Members are sorted and deduplicated within each hyperedge. `n` defaults
-    to 1 + the largest id seen. Empty hyperedges and negative ids are
-    rejected. Repeated hyperedges are kept; `dedup` drops them.
+    to 1 + the largest id seen. Empty hyperedges, negative ids and ids or
+    timestamps outside int64 are rejected. Repeated hyperedges are kept;
+    `dedup` drops them.
     """
-    raw_list = list(raw_edges)
-    if timestamps is not None and len(timestamps) != len(raw_list):
-        raise ValidationError("timestamps must align with raw_edges")
-    edges = []
-    max_id = -1
-    for i, raw in enumerate(raw_list):
-        members = tuple(sorted(set(raw)))
-        if not members:
-            raise ValidationError(f"hyperedge {i} is empty")
-        if members[0] < 0:
-            raise ValidationError(f"hyperedge {i} has negative id {members[0]}")
-        max_id = max(max_id, members[-1])
-        ts = timestamps[i] if timestamps is not None else None
-        edges.append(Hyperedge(members, ts))
-    if n is None:
-        n = max_id + 1
-    elif n <= max_id:
-        raise ValidationError(f"n={n} too small for max id {max_id}")
-    return Hypergraph(n=n, edges=tuple(edges))
+    rows = list(raw_edges)
+    offsets, flat = pack_rows(rows)
+    edge_of = np.repeat(np.arange(len(rows)), np.diff(offsets))
+    order = np.lexsort((flat, edge_of))
+    flat, edge_of = flat[order], edge_of[order]
+    keep = np.ones(len(flat), dtype=bool)
+    keep[1:] = (flat[1:] != flat[:-1]) | (edge_of[1:] != edge_of[:-1])
+    flat, sizes = flat[keep], np.bincount(edge_of[keep], minlength=len(rows))
+    n = int(flat.max(initial=-1)) + 1 if n is None else n
+    # One row, so that timestamps get the int64 check that ids get.
+    stamps = None if timestamps is None else pack_rows([timestamps])[1]
+    return Hypergraph(n, np.append(0, np.cumsum(sizes)), flat, stamps)
 
 
 def dedup(H: Hypergraph) -> Hypergraph:
     """Keep one hyperedge per member set: earliest timestamp, first-seen order."""
-    best: dict[KSubset, tuple[int, int | None]] = {}
-    order: list[KSubset] = []
-    for e in H.edges:
-        if e.members not in best:
-            best[e.members] = (len(order), e.timestamp)
-            order.append(e.members)
-        else:
-            pos, ts = best[e.members]
-            if e.timestamp is not None and (ts is None or e.timestamp < ts):
-                best[e.members] = (pos, e.timestamp)
-    edges = tuple(Hyperedge(m, best[m][1]) for m in order)
-    return Hypergraph(n=H.n, edges=edges, deduplicated=True)
+    first = _first_copies(H)
+    keep = first == np.arange(H.num_edges)
+    stamps = None
+    if H.timestamps is not None:
+        stamps = H.timestamps.copy()
+        np.minimum.at(stamps, first, H.timestamps)
+        stamps = stamps[keep]
+    sizes = np.diff(H.offsets)
+    offsets = np.append(0, np.cumsum(sizes[keep]))
+    return Hypergraph(H.n, offsets, H.members[np.repeat(keep, sizes)], stamps, deduplicated=True)

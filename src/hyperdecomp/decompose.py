@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 import numpy as np
 
 from .core import (
     DecomposedGraph,
     Hypergraph,
-    KSubset,
     ValidationError,
     WeightedDecomposedGraph,
     rank_rows,
@@ -84,29 +82,18 @@ def _pair_keys(ids: np.ndarray, shapes: list[tuple[int, int]]) -> np.ndarray:
 
 
 def _collect(
-    member_lists: Iterable[KSubset],
-    k: int,
-    cap: int | None,
-    with_counts: bool,
+    H: Hypergraph, k: int, cap: int | None, with_counts: bool
 ) -> tuple[DecomposedGraph, np.ndarray | None]:
     """Shared enumeration core: the graph and its containment counts.
 
-    Hyperedges are grouped by size s; each group becomes an (m_s, s) block
-    whose k-subsets are taken with one index pattern. Subsets and pair keys
+    Each size block of hyperedges of size s in k..cap, an (m_s, s) table,
+    gives its k-subsets through one index pattern. Subsets and pair keys
     are then deduplicated by sorting, so rows come out lexicographic.
     """
-    groups: dict[int, list[KSubset]] = {}
-    for members in member_lists:
-        s = len(members)
-        if s >= k and (cap is None or s <= cap):
-            groups.setdefault(s, []).append(members)
-    try:
-        blocks = [
-            np.array(group, dtype=np.int64)[:, list(combinations(range(s), k))]
-            for s, group in sorted(groups.items())
-        ]
-    except OverflowError:
-        raise ValidationError(f"level {k}: a node id exceeds 2**63 - 1") from None
+    blocks = [
+        rows[:, list(combinations(range(rows.shape[1]), k))]
+        for _, rows in H.size_blocks(k, cap)
+    ]
     shapes = [block.shape[:2] for block in blocks]
     flat = np.concatenate([b.reshape(-1, k) for b in blocks] or [np.empty((0, k), np.int64)])
     del blocks
@@ -134,7 +121,7 @@ def _collect(
 
 def decompose(H: Hypergraph, cfg: DecomposeConfig) -> DecomposedGraph:
     """Build the level-k decomposed graph under the configured size cap."""
-    return _collect(H.member_tuples(), cfg.level, cfg.max_edge_size, with_counts=False)[0]
+    return _collect(H, cfg.level, cfg.max_edge_size, with_counts=False)[0]
 
 
 def decompose_weighted(H: Hypergraph, k: int) -> WeightedDecomposedGraph:
@@ -146,11 +133,10 @@ def decompose_weighted(H: Hypergraph, k: int) -> WeightedDecomposedGraph:
     """
     if k < 1:
         raise ValidationError("level must be >= 1")
-    members = H.member_tuples()
-    base, counts = _collect(members, k, cap=None, with_counts=True)
+    base, counts = _collect(H, k, cap=None, with_counts=True)
     self_loops: dict[int, int] = {}
     if k == 1:
-        singles = np.array([m[0] for m in members if len(m) == 1], dtype=np.int64)
+        singles = H.members[H.offsets[:-1][np.diff(H.offsets) == 1]]
         hits = np.bincount(np.searchsorted(base.nodes[:, 0], singles), minlength=base.num_nodes)
         self_loops = {int(i): int(hits[i]) for i in np.flatnonzero(hits)}
     assert counts is not None

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import DecomposedGraph, Hyperedge, Hypergraph, ValidationError
+from .core import DecomposedGraph, Hypergraph, ValidationError, pack_rows
 from .decompose import DecomposeConfig, decompose
 from .metrics import (
     ComponentReport,
@@ -128,26 +128,23 @@ def learn_params(H: Hypergraph) -> GenParams:
     """
     if not H.deduplicated:
         raise ValidationError("parameter learning expects deduplicated input")
-    if any(e.timestamp is None for e in H.edges):
-        raise ValidationError("parameter learning needs a timestamp on every hyperedge")
     if H.num_edges == 0:
         raise ValidationError("cannot learn parameters from an empty hypergraph")
-    ordered = sorted(H.edges, key=lambda e: e.timestamp)
-    new_id: dict[int, int] = {}
-    arrivals = Counter()
-    sizes = Counter()
-    for e in ordered:
-        for v in e.members:
-            if v not in new_id:
-                new_id[v] = len(new_id)
-        arrivals[max(new_id[v] for v in e.members)] += 1
-        sizes[len(e.members)] += 1
+    if H.timestamps is None:
+        raise ValidationError("parameter learning needs a timestamp on every hyperedge")
+    sizes = np.diff(H.offsets)
+    # Members in arrival order: hyperedges by timestamp (stable), each in id order.
+    seen = H.members[np.argsort(np.repeat(H.timestamps, sizes), kind="stable")]
+    nodes, first = np.unique(seen, return_index=True)
+    new_id = np.empty(H.n, dtype=np.int64)
+    new_id[nodes[np.argsort(first)]] = np.arange(len(nodes))
+    arrivals = np.bincount(np.maximum.reduceat(new_id[H.members], H.offsets[:-1]), minlength=H.n)
     m = H.num_edges
-    per_node = Counter(arrivals.get(i, 0) for i in range(H.n))
+    size_counts, per_node = np.bincount(sizes), np.bincount(arrivals)
     return GenParams(
         n=H.n,
-        sizes={k: c / m for k, c in sorted(sizes.items())},
-        new_edges={k: c / H.n for k, c in sorted(per_node.items())},
+        sizes={int(k): int(size_counts[k]) / m for k in np.flatnonzero(size_counts)},
+        new_edges={int(k): int(per_node[k]) / H.n for k in np.flatnonzero(per_node)},
     )
 
 
@@ -234,7 +231,8 @@ def _grow(
         for e in new:
             absorb(e)
         edges.extend(new)
-    return Hypergraph(n=first + params.n, edges=tuple(Hyperedge(members=e) for e in edges))
+    offsets, members = pack_rows(edges)
+    return Hypergraph(n=first + params.n, offsets=offsets, members=members)
 
 
 def hyperpa_detailed(
@@ -401,11 +399,8 @@ def subset_sampling(
 def null_model(H: Hypergraph, seed: int = 0) -> Hypergraph:
     """Replace every hyperedge by a uniform random subset of the same size."""
     rng = random.Random(seed)
-    out = []
-    for e in H.edges:
-        members = tuple(sorted(rng.sample(range(H.n), len(e.members))))
-        out.append(Hyperedge(members=members, timestamp=e.timestamp))
-    return Hypergraph(n=H.n, edges=tuple(out))
+    members = pack_rows([sorted(rng.sample(range(H.n), s)) for s in np.diff(H.offsets).tolist()])[1]
+    return Hypergraph(n=H.n, offsets=H.offsets, members=members, timestamps=H.timestamps)
 
 
 # --- pattern scoring -------------------------------------------------------
@@ -455,21 +450,12 @@ class _LevelProfile:
 @lru_cache(maxsize=8)
 def _level_profile(H: Hypergraph, level: int, sv_count: int, seed: int) -> _LevelProfile:
     G = decompose(H, DecomposeConfig.for_level(level))
-    report = connected_components(G)
-    degrees = G.degrees()
-    spectrum = np.array(singular_values(G, m=min(sv_count, max(G.num_nodes, 1))).values)
-    diameter = None
-    clustering = None
-    if report.is_giant:
-        diameter = effective_diameter(G, seed=seed)
-        clustering = clustering_coefficient(G)
-    return _LevelProfile(
-        report=report,
-        degrees=degrees,
-        spectrum=spectrum,
-        diameter=diameter,
-        clustering=clustering,
-    )
+    report, degrees = connected_components(G), G.degrees()
+    spectrum = np.array(singular_values(G, m=sv_count).values)
+    if not report.is_giant:  # diameter and clustering are only compared on a giant
+        return _LevelProfile(report, degrees, spectrum, None, None)
+    diameter = effective_diameter(G, seed=seed)
+    return _LevelProfile(report, degrees, spectrum, diameter, clustering_coefficient(G))
 
 
 def _score_level(

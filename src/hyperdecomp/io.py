@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .core import (
     DecomposedGraph,
-    Hyperedge,
     Hypergraph,
     KSubset,
     ValidationError,
@@ -54,17 +55,27 @@ def _open_input(path: str):
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
-def _int_tokens(path: str) -> list[tuple[int, int]]:
+def _int64(tok: str, path: str, lineno: int, what: str, low: int) -> int:
+    """The value of an integer token, which must lie in low..2**63 - 1:
+    ids, timestamps, weights and counts are stored as int64."""
+    try:
+        value = int(tok)
+    except ValueError:
+        raise FormatError(path, lineno, f"expected {what}, got {tok!r}") from None
+    if not low <= value < 2**63:
+        shown = "-2**63" if low == -(2**63) else low
+        raise FormatError(path, lineno, f"{what} {value} is outside {shown}..2**63 - 1")
+    return value
+
+
+def _int_tokens(path: str, what: str, low: int) -> list[tuple[int, int]]:
     """(value, line_number) for every integer token; commas are separators."""
-    out: list[tuple[int, int]] = []
     with _open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            for tok in line.replace(",", " ").split():
-                try:
-                    out.append((int(tok), lineno))
-                except ValueError:
-                    raise FormatError(path, lineno, f"expected an integer, got {tok!r}")
-    return out
+        return [
+            (_int64(tok, path, lineno, what, low), lineno)
+            for lineno, line in enumerate(fh, start=1)
+            for tok in line.replace(",", " ").split()
+        ]
 
 
 def read_simplex_format(
@@ -76,9 +87,9 @@ def read_simplex_format(
     returned dict maps original id to dense id. Hyperedges keep their
     input order and may repeat.
     """
-    sizes = _int_tokens(nverts_path)
-    members = _int_tokens(simplices_path)
-    times = _int_tokens(times_path)
+    sizes = _int_tokens(nverts_path, "a hyperedge size", low=1)
+    members = _int_tokens(simplices_path, "a node id", low=0)
+    times = _int_tokens(times_path, "a timestamp", low=-(2**63))
     if len(times) != len(sizes):
         raise FormatError(
             times_path,
@@ -94,22 +105,10 @@ def read_simplex_format(
         )
 
     id_map: dict[int, int] = {}
-    raw_edges: list[list[int]] = []
-    pos = 0
-    for (size, lineno) in sizes:
-        if size < 1:
-            raise FormatError(nverts_path, lineno, f"hyperedge size {size} < 1")
-        edge = []
-        for value, member_line in members[pos : pos + size]:
-            if value < 0:
-                raise FormatError(simplices_path, member_line, f"negative node id {value}")
-            if value not in id_map:
-                id_map[value] = len(id_map)
-            edge.append(id_map[value])
-        raw_edges.append(edge)
-        pos += size
-    H = canonicalize(raw_edges, timestamps=[t for t, _ in times])
-    return H, id_map
+    dense = [id_map.setdefault(value, len(id_map)) for value, _ in members]
+    starts = list(accumulate((size for size, _ in sizes), initial=0))
+    raw_edges = [dense[a:b] for a, b in zip(starts[:-1], starts[1:])]
+    return canonicalize(raw_edges, timestamps=[t for t, _ in times]), id_map
 
 
 def read_line_format(path: str, n: int | None = None) -> Hypergraph:
@@ -128,39 +127,36 @@ def read_line_format(path: str, n: int | None = None) -> Hypergraph:
                 continue
             ts: int | None = None
             if toks[-1].startswith("t="):
-                try:
-                    ts = int(toks[-1][2:])
-                except ValueError:
-                    raise FormatError(path, lineno, f"bad timestamp {toks[-1]!r}")
-                toks = toks[:-1]
+                ts = _int64(toks.pop()[2:], path, lineno, "a timestamp", low=-(2**63))
             if timed is None:
                 timed = ts is not None
             elif timed != (ts is not None):
                 raise FormatError(path, lineno, "either all or no hyperedges may carry t=")
             if not toks:
                 raise FormatError(path, lineno, "hyperedge has no members")
-            edge = []
-            for tok in toks:
-                try:
-                    v = int(tok)
-                except ValueError:
-                    raise FormatError(path, lineno, f"expected a node id, got {tok!r}")
-                if v < 0:
-                    raise FormatError(path, lineno, f"negative node id {v}")
-                edge.append(v)
-            raw_edges.append(edge)
+            raw_edges.append([_int64(tok, path, lineno, "a node id", low=0) for tok in toks])
             timestamps.append(ts)
     stamps = timestamps if timed else None
     return canonicalize(raw_edges, n=n, timestamps=stamps)  # type: ignore[arg-type]
 
 
+# Lines are formatted this many hyperedges or edges at a time, so that no
+# Python list spans a whole array.
+_WRITE_BLOCK = 2**16
+
+
 def write_line_format(H: Hypergraph, path: str) -> None:
+    """One hyperedge per line, `t=<timestamp>` last when there are timestamps."""
     with open(path, "w", encoding="utf-8") as fh:
-        for e in H.edges:
-            line = " ".join(str(v) for v in e.members)
-            if e.timestamp is not None:
-                line += f" t={e.timestamp}"
-            fh.write(line + "\n")
+        for start in range(0, H.num_edges, _WRITE_BLOCK):
+            bounds = H.offsets[start : start + _WRITE_BLOCK + 1]
+            ids = list(map(str, H.members[bounds[0] : bounds[-1]].tolist()))
+            at = (bounds - bounds[0]).tolist()
+            lines = (" ".join(ids[a:b]) for a, b in zip(at[:-1], at[1:]))
+            if H.timestamps is not None:
+                stamps = H.timestamps[start : start + _WRITE_BLOCK].tolist()
+                lines = (f"{line} t={t}" for line, t in zip(lines, stamps))
+            fh.writelines(f"{line}\n" for line in lines)
 
 
 def _parse_subset(tok: str, path: str, lineno: int) -> KSubset:
@@ -175,11 +171,6 @@ def _parse_subset(tok: str, path: str, lineno: int) -> KSubset:
     if parts[-1] >= 2**63:  # ids are stored as int64
         raise FormatError(path, lineno, f"subset {tok!r} has an id above 2**63 - 1")
     return parts
-
-
-# Edges are formatted this many rows at a time, so that no Python list
-# spans the whole edge array.
-_WRITE_BLOCK = 2**16
 
 
 def _write_edges(
@@ -227,7 +218,7 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
     token_ids: dict[str, int] = {}
     subsets: list[KSubset] = []
     first_lines: list[int] = []
-    edges: list[tuple[int, int, int, int]] = []  # (u id, v id, weight, line)
+    edges = array("q")  # (u id, v id, weight, line) per edge, flat
     loops: list[tuple[int, int, int]] = []  # (subset id, count, line)
 
     def subset_id(tok: str, lineno: int) -> int:
@@ -263,23 +254,14 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
                 if len(toks) != 3:
                     raise FormatError(path, lineno, "selfloop lines take subset and count")
                 s = subset_id(toks[1], lineno)
-                try:
-                    count = int(toks[2])
-                except ValueError:
-                    raise FormatError(path, lineno, f"bad count {toks[2]!r}")
+                count = _int64(toks[2], path, lineno, "a positive self-loop count", low=1)
                 loops.append((s, count, lineno))
                 continue
             if len(toks) != 3:
                 raise FormatError(path, lineno, "edge lines take two subsets and a weight")
             u = subset_id(toks[0], lineno)
             v = subset_id(toks[1], lineno)
-            try:
-                w = int(toks[2])
-            except ValueError:
-                raise FormatError(path, lineno, f"bad weight {toks[2]!r}")
-            if not 1 <= w < 2**63:
-                raise FormatError(path, lineno, f"weight must be positive and < 2**63, got {w}")
-            edges.append((u, v, w, lineno))
+            edges.extend((u, v, _int64(toks[2], path, lineno, "a positive weight", low=1), lineno))
     if level is None:
         raise FormatError(path, 1, "missing '# level=<k>' header")
 
@@ -288,7 +270,7 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
             raise FormatError(path, lineno, f"subset {s} does not match level {level}")
     nodes, node_of = rank_rows(np.array(subsets, dtype=np.int64).reshape(-1, level))[:2]
 
-    table = np.array(edges, dtype=np.int64).reshape(-1, 4)
+    table = np.frombuffer(edges, dtype=np.int64).reshape(-1, 4)
     u, v, lines = node_of[table[:, 0]], node_of[table[:, 1]], table[:, 3]
     same = np.flatnonzero(u == v)
     if same.size:
@@ -308,8 +290,6 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
     for s, count, lineno in loops:
         if level != 1:
             raise FormatError(path, lineno, "self-loops only belong to level 1")
-        if count < 1:
-            raise FormatError(path, lineno, f"self-loop count {count} must be positive")
         node = int(node_of[s])
         self_loops[node] = self_loops.get(node, 0) + count
     return WeightedDecomposedGraph(base=base, weights=w_arr, self_loops=self_loops)

@@ -262,13 +262,13 @@ def singular_values(
     one whose request covers essentially its whole spectrum (m > s - 2)
     goes to a dense eigensolver, which the iterative machinery cannot
     serve. That fallback raises MetricError instead of allocating a dense
-    matrix above DENSE_FALLBACK_MAX_BYTES, for the whole graph (m > n - 2)
-    as for any component.
+    component matrix above DENSE_FALLBACK_MAX_BYTES. `m` defaults to 500
+    and is capped at the node count.
     """
     n = G.num_nodes
     if m is None:
-        m = min(n, 500)
-    if m < 1:
+        m = 500
+    elif m < 1:
         raise ValidationError("must request at least one singular value")
     m = min(m, n)
     if n == 0:
@@ -276,12 +276,6 @@ def singular_values(
     if G.num_edges == 0:
         return SingularSpectrum(values=(0.0,) * m, requested=m)
 
-    if m > n - 2 and n * n * 8 > DENSE_FALLBACK_MAX_BYTES:
-        raise MetricError(
-            f"dense eigensolver fallback for m={m} on n={n} nodes needs "
-            f"{n * n * 8} bytes, above the {DENSE_FALLBACK_MAX_BYTES}-byte "
-            "limit; request m <= n - 2"
-        )
     comps = G._components
     sizes = np.diff(comps.bounds)
     s = int(sizes[sizes < m + 2].max(initial=0))

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Hyperedge, Hypergraph, KSubset, ValidationError, WeightedDecomposedGraph, rank_rows
+from .core import Hypergraph, KSubset, ValidationError, WeightedDecomposedGraph, rank_rows
 from .decompose import decompose_weighted
 
 __all__ = ["RecoveryError", "recover"]
@@ -63,7 +63,7 @@ def _subtract(G: WeightedDecomposedGraph, S: WeightedDecomposedGraph) -> np.ndar
     return left[:-1]
 
 
-def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Size-(k+1) hyperedges and multiplicities that consume the residual."""
     size = G.level + 1
     rows = np.flatnonzero(resid)
@@ -87,7 +87,14 @@ def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[np.ndarray, li
         raise RecoveryError(
             G.level, f"edge {edge} implies {union} x{mults[j]}; its clique disagrees"
         )
-    return unions, mults.tolist()
+    return unions, mults
+
+
+def _expand(n: int, blocks: list[np.ndarray]) -> Hypergraph:
+    """The hypergraph whose hyperedges are the rows of `blocks`, in order."""
+    sizes = np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks])
+    members = np.concatenate([b.ravel() for b in blocks] + [np.empty(0, np.int64)])
+    return Hypergraph(n, np.append(0, np.cumsum(sizes, dtype=np.int64)), members)
 
 
 def recover(
@@ -122,14 +129,16 @@ def recover(
         raise ValidationError("decompositions contain no nodes")
     n = max_id + 1
 
-    edges: list[Hyperedge] = []
+    # One block per size, each found hyperedge repeated by its multiplicity.
+    blocks: list[np.ndarray] = []
     for size in range(max_size, 0, -1):
         if size > 1:
-            larger = decompose_weighted(Hypergraph(n, tuple(edges)), size - 1)
+            larger = decompose_weighted(_expand(n, blocks), size - 1)
             found, mults = _peel(graphs[size - 1], _subtract(graphs[size - 1], larger))
         else:
             at = sorted(graphs[1].self_loops)
-            found, mults = graphs[1].base.nodes[at], [graphs[1].self_loops[i] for i in at]
+            found = graphs[1].base.nodes[at]
+            mults = np.array([graphs[1].self_loops[i] for i in at], dtype=np.int64)
         if size < max_size:
             # Nodes on no edge of the level above (`node` lines in files) must
             # be size-`size` hyperedges, and each such hyperedge a node there.
@@ -141,6 +150,5 @@ def recover(
             odd = found[_find_rows(above.nodes, found) < 0].tolist()
             if odd:
                 raise RecoveryError(size, f"hyperedge {tuple(odd[0])} is missing from the nodes")
-        for members, mult in zip(found.tolist(), mults):
-            edges.extend(Hyperedge(tuple(members)) for _ in range(mult))
-    return Hypergraph(n=n, edges=tuple(edges))
+        blocks.append(np.repeat(found, mults, axis=0))
+    return _expand(n, blocks)

@@ -1,5 +1,7 @@
 """Canonical forms, validation, and the base graph containers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,14 @@ from hyperdecomp import (
     decompose_weighted,
     dedup,
 )
-from hyperdecomp.core import rank_rows
+from hyperdecomp.core import pack_rows, rank_rows
+
+
+def hypergraph(rows, n, timestamps=None, deduplicated=False):
+    """A Hypergraph built from rows as given, with no canonicalizing."""
+    offsets, members = pack_rows(rows)
+    stamps = None if timestamps is None else np.array(timestamps, dtype=np.int64)
+    return Hypergraph(n, offsets, members, stamps, deduplicated)
 
 
 def test_canonicalize_sorts_and_dedups_members():
@@ -55,27 +64,72 @@ def test_canonicalize_dedup_flag():
 
 
 def test_hyperedge_validation():
-    with pytest.raises(ValidationError):
-        Hyperedge(members=())
-    with pytest.raises(ValidationError):
-        Hyperedge(members=(2, 1))
-    with pytest.raises(ValidationError):
-        Hyperedge(members=(1, 1))
-    with pytest.raises(ValidationError):
-        Hyperedge(members=(-1,))
+    # Hyperedge is a value read out of a Hypergraph, whose arrays refuse
+    # the member lists that Hyperedge itself once refused.
+    for members in [(), (2, 1), (1, 1), (-1,)]:
+        with pytest.raises(ValidationError):
+            hypergraph([members], n=3)
     e = Hyperedge(members=(1, 4), timestamp=7)
     assert len(e) == 2 and list(e) == [1, 4]
+    assert hypergraph([(1, 4)], n=5, timestamps=[7]).edges == (e,)
 
 
 def test_hypergraph_validation():
     with pytest.raises(ValidationError):
-        Hypergraph(n=2, edges=(Hyperedge(members=(0, 2)),))
+        hypergraph([(0, 2)], n=2)
     with pytest.raises(ValidationError):
-        Hypergraph(
-            n=3,
-            edges=(Hyperedge(members=(0, 1)), Hyperedge(members=(0, 1))),
-            deduplicated=True,
-        )
+        hypergraph([(0, 1), (0, 1)], n=3, deduplicated=True)
+
+
+def _arrays(offsets, members, timestamps=None):
+    """Constructor arguments holding the given values as int64 arrays."""
+    stamps = None if timestamps is None else np.array(timestamps, dtype=np.int64)
+    offsets, members = np.array(offsets, dtype=np.int64), np.array(members, dtype=np.int64)
+    return dict(offsets=offsets, members=members, timestamps=stamps)
+
+
+# One case per refusal of the constructor: (arrays, n, deduplicated, message).
+_REFUSALS = {
+    "offsets-past-members": (_arrays([0, 3], [0, 1]), 2, False, "offsets must rise"),
+    "offsets-not-from-zero": (_arrays([1, 2], [0, 1]), 2, False, "offsets must rise"),
+    "offsets-falling": (_arrays([0, 2, 1, 2], [0, 1]), 2, False, "offsets must rise"),
+    "no-offsets": (_arrays([], []), 2, False, "offsets must rise"),
+    "empty-hyperedge": (_arrays([0, 0, 2], [0, 1]), 2, False, "hyperedge 0 is empty"),
+    "unsorted-members": (_arrays([0, 1, 3], [0, 2, 1]), 3, False, "hyperedge 1 must be strictly"),
+    "repeated-members": (_arrays([0, 2], [1, 1]), 2, False, "hyperedge 0 must be strictly"),
+    "negative-member": (_arrays([0, 2], [-1, 0]), 2, False, "negative node id -1"),
+    "member-at-n": (_arrays([0, 2], [0, 2]), 2, False, "member 2 out of range for n=2"),
+    "misaligned-timestamps": (_arrays([0, 1], [0], [1, 2]), 1, False, "timestamps must align"),
+    "repeat-when-deduplicated": (
+        _arrays([0, 1, 3, 5], [2, 0, 1, 0, 1]), 3, True, "duplicate hyperedge (0, 1)"
+    ),
+    "members-not-int64": (
+        dict(_arrays([0, 1], []), members=np.array([0], dtype=np.int32)), 1, False, "1-D int64"
+    ),
+    "offsets-two-dimensional": (_arrays([[0, 1]], [0]), 1, False, "1-D int64"),
+    "negative-n": (_arrays([0], []), -1, False, "node count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_hypergraph_constructor_refuses(case):
+    arrays, n, deduplicated, message = _REFUSALS[case]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Hypergraph(n=n, deduplicated=deduplicated, **arrays)
+
+
+def test_hypergraph_arrays_are_read_only_and_views_follow_them():
+    H = hypergraph([(2, 3), (0, 1, 4), (1,)], n=5, timestamps=[7, 5, 6])
+    for array in (H.offsets, H.members, H.timestamps):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert H.num_edges == 3 and H.max_edge_size() == 3
+    assert H.member_tuples() == [(2, 3), (0, 1, 4), (1,)]
+    assert [(e.members, e.timestamp) for e in H.edges] == [((2, 3), 7), ((0, 1, 4), 5), ((1,), 6)]
+    assert [idx.tolist() for idx, _ in H.size_blocks()] == [[2], [0], [1]]
+    assert [rows.tolist() for _, rows in H.size_blocks(2, 2)] == [[[2, 3]]]
+    empty = hypergraph([], n=0)
+    assert empty.num_edges == 0 and empty.edges == () and empty.max_edge_size() == 0
 
 
 def test_hypergraph_is_hashable():
@@ -248,6 +302,32 @@ def test_canonicalize_idempotent_and_size_preserving(raw):
     assert H.num_edges == len(raw)
     for e, r in zip(H.edges, raw):
         assert set(e.members) == set(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonicalize_and_dedup_match_python_oracle(data):
+    ids = st.integers(0, 9) | st.sampled_from([2**40, 2**63 - 1])
+    raw = data.draw(st.lists(st.lists(ids, min_size=1, max_size=6), max_size=12))
+    if raw:  # repeats, listed in another order
+        again = data.draw(st.lists(st.sampled_from(raw), max_size=6))
+        raw += [list(reversed(r)) for r in again]
+    stamp = st.integers(-3, 3) | st.sampled_from([-(2**63), 2**63 - 1])
+    timestamps = data.draw(st.none() | st.lists(stamp, min_size=len(raw), max_size=len(raw)))
+
+    rows = [tuple(sorted(set(r))) for r in raw]
+    stamps = timestamps if timestamps is not None else [None] * len(rows)
+    earliest: dict = {}  # first-seen order, earliest timestamp
+    for r, t in zip(rows, stamps):
+        earliest[r] = t if r not in earliest or t is None else min(earliest[r], t)
+
+    H = canonicalize(raw, timestamps=timestamps)
+    assert H.n == 1 + max((v for r in rows for v in r), default=-1)
+    assert [(e.members, e.timestamp) for e in H.edges] == list(zip(rows, stamps))
+    D = dedup(H)
+    assert D.deduplicated and D.n == H.n
+    assert [(e.members, e.timestamp) for e in D.edges] == list(earliest.items())
+    assert dedup(D) == D
 
 
 @st.composite

@@ -280,17 +280,24 @@ def test_subset_index_limit_raises_before_packing_overflows(monkeypatch):
 
 
 def test_ids_beyond_int64_raise_validation_error(tmp_path, capsys):
-    H = canonicalize([[1, 2**63 - 1], [0, 2**63]])
-    with pytest.raises(ValidationError, match="exceeds 2\\*\\*63 - 1"):
-        decompose(H, DecomposeConfig.for_level(1))
-    with pytest.raises(ValidationError, match="exceeds"):
-        decompose_weighted(H, 2)
+    # Ids and timestamps are refused where they enter, not by decompose.
+    for raw in ([[1, 2**63 - 1], [0, 2**63]], [[0, -(2**63) - 1]]):
+        with pytest.raises(ValidationError, match="int64 range"):
+            canonicalize(raw)
+    with pytest.raises(ValidationError, match="int64 range"):
+        canonicalize([[0], [1]], timestamps=[0, 2**63])
+    H = canonicalize([[1, 2**63 - 1], [0, 2**63 - 2]])
+    assert H.n == 2**63
+    assert decompose(H, DecomposeConfig.for_level(1)).nodes[:, 0].tolist() == [
+        0, 1, 2**63 - 2, 2**63 - 1
+    ]
+    assert decompose_weighted(H, 2).base.num_nodes == 2
     src = tmp_path / "big.txt"
-    src.write_text(f"0 {2**63}\n")
+    src.write_text(f"0 1\n0 {2**63}\n")
     for weighted in ([], ["--weighted"]):
         argv = ["decompose", str(src), "--level", "1", *weighted, "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: level 1: a node id exceeds")
+        assert capsys.readouterr().err.startswith(f"error: {src}:2: a node id {2**63} is outside")
 
 
 # --- pinned output files ---------------------------------------------------

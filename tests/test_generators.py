@@ -8,6 +8,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdecomp import (
     DecomposeConfig,
@@ -79,6 +81,35 @@ def test_learn_params_counts_silent_nodes_as_zero():
     H = dedup(canonicalize([[0, 1, 2]], timestamps=[0], n=5))
     p = learn_params(H)
     assert p.new_edges == {0: pytest.approx(4 / 5), 1: pytest.approx(1 / 5)}
+
+
+def learn_params_oracle(H):
+    """Size and arrival laws by a loop over hyperedges in timestamp order."""
+    new_id, arrivals, sizes = {}, Counter(), Counter()
+    for e in sorted(H.edges, key=lambda e: e.timestamp):
+        for v in e.members:
+            new_id.setdefault(v, len(new_id))
+        arrivals[max(new_id[v] for v in e.members)] += 1
+        sizes[len(e)] += 1
+    per_node = Counter(arrivals.get(i, 0) for i in range(H.n))
+    return (
+        {k: c / H.num_edges for k, c in sorted(sizes.items())},
+        {k: c / H.n for k, c in sorted(per_node.items())},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_learn_params_matches_loop_oracle(data):
+    edge = st.lists(st.integers(0, 11), min_size=1, max_size=5)
+    raw = data.draw(st.lists(edge, min_size=1, max_size=15))
+    stamps = data.draw(st.lists(st.integers(-2, 2), min_size=len(raw), max_size=len(raw)))
+    extra = data.draw(st.integers(0, 3))  # nodes that never appear
+    H = dedup(canonicalize(raw, n=1 + max(map(max, raw)) + extra, timestamps=stamps))
+    p = learn_params(H)
+    assert p.n == H.n
+    assert (p.sizes, p.new_edges) == learn_params_oracle(H)
+    assert all(type(k) is int for k in [*p.sizes, *p.new_edges])
 
 
 def test_learn_params_preconditions():

@@ -94,6 +94,21 @@ def test_simplex_negative_id_and_bad_size(tmp_path):
     assert "size 0" in str(exc.value)
 
 
+def test_simplex_values_beyond_int64_name_their_line(tmp_path):
+    for bad in (2**63, -(2**63) - 1):
+        paths = simplex_triple(tmp_path, "1\n1\n", "0\n1\n", f"5\n{bad}\n")
+        with pytest.raises(FormatError, match=f":2: a timestamp {bad} is outside") as exc:
+            read_simplex_format(*paths)
+        assert exc.value.path.endswith("x-times.txt")
+    paths = simplex_triple(tmp_path, "2\n", f"0\n{2**63}\n", "5\n")
+    with pytest.raises(FormatError, match=f":2: a node id {2**63} is outside") as exc:
+        read_simplex_format(*paths)
+    assert exc.value.path.endswith("x-simplices.txt")
+    paths = simplex_triple(tmp_path, "2\n", f"{2**63 - 1} 0\n", f"{-(2**63)}\n")
+    H, id_map = read_simplex_format(*paths)
+    assert id_map == {2**63 - 1: 0, 0: 1} and H.timestamps.tolist() == [-(2**63)]
+
+
 # --- line format -----------------------------------------------------------
 
 
@@ -116,6 +131,18 @@ def test_line_format_parses_timestamps(tmp_path):
     p = write(tmp_path / "h.txt", "0 1 t=5\n2 t=-3\n")
     H = read_line_format(p)
     assert [e.timestamp for e in H.edges] == [5, -3]
+
+
+def test_line_format_values_beyond_int64_name_their_line(tmp_path):
+    cases = [("0 1", f"0 {2**63}", "a node id"), ("0 1 t=1", f"0 t={2**63}", "a timestamp")]
+    cases.append(("0 1 t=1", f"0 t={-(2**63) - 1}", "a timestamp"))
+    for first, bad, what in cases:
+        p = write(tmp_path / "h.txt", f"{first}\n{bad}\n")
+        with pytest.raises(FormatError, match=f":2: {what} -?[0-9]+ is outside") as exc:
+            read_line_format(p)
+        assert exc.value.path == p
+    p = write(tmp_path / "h.txt", f"{2**63 - 1} t={-(2**63)}\n")
+    assert read_line_format(p).timestamps.tolist() == [-(2**63)]
 
 
 def test_line_format_rejects_partial_timestamps(tmp_path):
@@ -328,6 +355,23 @@ def test_edge_writers_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch):
         return out
 
     whole = written("whole")
+    for block in (1, 2, 5):
+        monkeypatch.setattr(io_mod, "_WRITE_BLOCK", block)
+        assert written(f"block{block}") == whole
+
+
+def test_line_writer_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch):
+    raw = [[0], [0], [0, 1, 2], [1, 12], [3, 4, 5, 6], [7], [4, 5, 6]]
+    graphs = [canonicalize(raw), canonicalize(raw, timestamps=[5, -1, 3, 2**63 - 1, 0, 0, 9])]
+
+    def written(tag):
+        for i, H in enumerate(graphs):
+            write_line_format(H, str(tmp_path / f"{tag}-{i}"))
+        return [(tmp_path / f"{tag}-{i}").read_bytes() for i in range(len(graphs))]
+
+    whole = written("whole")
+    assert whole[0] == b"0\n0\n0 1 2\n1 12\n3 4 5 6\n7\n4 5 6\n"
+    assert whole[1].splitlines()[3] == f"1 12 t={2**63 - 1}".encode()
     for block in (1, 2, 5):
         monkeypatch.setattr(io_mod, "_WRITE_BLOCK", block)
         assert written(f"block{block}") == whole

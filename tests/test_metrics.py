@@ -447,6 +447,10 @@ def test_singular_values_validation_and_edge_cases():
     assert singular_values(empty, m=2).values == (0.0, 0.0)
     none = DecomposedGraph(level=1, nodes=ids(0), edge_array=np.empty((0, 2), dtype=np.int64))
     assert singular_values(none, m=3).values == ()
+    # The default request is capped at the node count like a given one.
+    assert singular_values(none) == singular_values(none, m=3)
+    with pytest.raises(ValidationError):
+        singular_values(none, m=0)
 
 
 def test_singular_values_default_request_size():
@@ -479,14 +483,23 @@ def test_dense_fallback_refuses_matrices_over_two_gib(monkeypatch):
     n = 16_385
     G = path_graph(n)
 
-    def no_adjacency(self):
-        raise AssertionError("the guard must fire before any matrix is built")
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("the guard must fire before any dense matrix is built")
 
-    monkeypatch.setattr(DecomposedGraph, "adjacency_csr", no_adjacency)
+    monkeypatch.setattr(metrics_mod, "_dense_magnitudes", no_dense_solve)
     with pytest.raises(MetricError) as info:
         singular_values(G, m=n)
-    assert f"n={n}" in str(info.value)
+    assert f"{n}-node component" in str(info.value)
     assert str(n * n * 8) in str(info.value)
+
+
+def test_dense_fallback_serves_many_small_components_of_a_large_graph():
+    # 8,193 disjoint K2: 16,386 nodes, though each dense block is 2 x 2.
+    u = np.arange(0, 16_386, 2, dtype=np.int64)
+    G = DecomposedGraph(level=1, nodes=ids(16_386), edge_array=np.stack([u, u + 1], axis=1))
+    spectrum = singular_values(G, m=G.num_nodes)
+    assert spectrum.requested == 16_386
+    assert spectrum.values == (1.0,) * 16_386
 
 
 def test_dense_fallback_limit_is_inclusive(monkeypatch):

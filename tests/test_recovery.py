@@ -213,6 +213,18 @@ def test_level_one_self_loop_count_drives_singletons():
     assert edge_multiset(R)[(0,)] == 3
 
 
+def test_large_self_loop_counts_recover_as_arrays(tmp_path):
+    path = tmp_path / "loops.txt"
+    path.write_text("# level=1\n0 1 1\nselfloop 1 200000\n")
+    R = recover({1: read_weighted_graph(str(path))})
+    assert R.num_edges == 200_001 and R.max_edge_size() == 2
+    assert R.members[2:].tolist() == [1] * 200_000
+    # Counts that sum past int64 are refused when the graph is built.
+    path.write_text(f"# level=1\n0 1 1\nselfloop 1 {2**62}\nselfloop 1 {2**62}\n")
+    with pytest.raises(ValidationError, match="self-loop count"):
+        read_weighted_graph(str(path))
+
+
 def test_recovered_edges_have_no_timestamps():
     H = canonicalize([[0, 1], [2]], n=3, timestamps=[5, 6])
     R = recover(stack(H))
