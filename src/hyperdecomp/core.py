@@ -316,8 +316,17 @@ class WeightedDecomposedGraph:
         return self.base.level
 
 
+@dataclass(frozen=True)
+class FlatRows:
+    """Integer rows stored flat, row i being members[offsets[i]:offsets[i + 1]]:
+    int64 arrays that `canonicalize` takes as they are, without a pass per row."""
+
+    offsets: np.ndarray
+    members: np.ndarray
+
+
 def canonicalize(
-    raw_edges: Iterable[Sequence[int]],
+    raw_edges: Iterable[Sequence[int]] | FlatRows,
     n: int | None = None,
     timestamps: Sequence[int] | None = None,
 ) -> Hypergraph:
@@ -328,14 +337,17 @@ def canonicalize(
     timestamps outside int64 are rejected. Repeated hyperedges are kept;
     `dedup` drops them.
     """
-    rows = list(raw_edges)
-    offsets, flat = pack_rows(rows)
-    edge_of = np.repeat(np.arange(len(rows)), np.diff(offsets))
+    if isinstance(raw_edges, FlatRows):
+        offsets, flat = raw_edges.offsets, raw_edges.members
+    else:
+        offsets, flat = pack_rows(list(raw_edges))
+    count = len(offsets) - 1
+    edge_of = np.repeat(np.arange(count), np.diff(offsets))
     order = np.lexsort((flat, edge_of))
     flat, edge_of = flat[order], edge_of[order]
     keep = np.ones(len(flat), dtype=bool)
     keep[1:] = (flat[1:] != flat[:-1]) | (edge_of[1:] != edge_of[:-1])
-    flat, sizes = flat[keep], np.bincount(edge_of[keep], minlength=len(rows))
+    flat, sizes = flat[keep], np.bincount(edge_of[keep], minlength=count)
     n = int(flat.max(initial=-1)) + 1 if n is None else n
     # One row, so that timestamps get the int64 check that ids get.
     stamps = None if timestamps is None else pack_rows([timestamps])[1]

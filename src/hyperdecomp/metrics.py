@@ -37,7 +37,8 @@ __all__ = [
 GIANT_RATIO = 70.0
 
 # Largest dense float64 adjacency the eigensolver fallback may allocate
-# (2 GiB, i.e. at most 16,384 nodes).
+# (2 GiB, i.e. at most 16,384 nodes); `recover` bounds the int64 members of
+# the hyperedges it expands by the same figure.
 DENSE_FALLBACK_MAX_BYTES = 2 * 1024**3
 
 # The effective diameter is this quantile of the pairwise distances.

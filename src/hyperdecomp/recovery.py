@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import Hypergraph, KSubset, ValidationError, WeightedDecomposedGraph, rank_rows
 from .decompose import decompose_weighted
+from .metrics import DENSE_FALLBACK_MAX_BYTES
 
 __all__ = ["RecoveryError", "recover"]
 
@@ -105,7 +106,9 @@ def recover(
     `graphs` maps level k to the uncapped weighted decomposition at k;
     levels 1 through max_size - 1 must be present. If max_size is omitted
     it is taken as one more than the highest provided level. Inconsistent
-    inputs raise RecoveryError naming the level and offending edge or node.
+    inputs raise RecoveryError naming the level and offending edge or node,
+    and so do multiplicities whose hyperedges would need more than
+    DENSE_FALLBACK_MAX_BYTES of int64 members, before any is expanded.
     """
     if not graphs:
         raise ValidationError("no decomposed graphs provided")
@@ -131,6 +134,7 @@ def recover(
 
     # One block per size, each found hyperedge repeated by its multiplicity.
     blocks: list[np.ndarray] = []
+    needed = 0  # bytes of the members of all blocks so far
     for size in range(max_size, 0, -1):
         if size > 1:
             larger = decompose_weighted(_expand(n, blocks), size - 1)
@@ -150,5 +154,12 @@ def recover(
             odd = found[_find_rows(above.nodes, found) < 0].tolist()
             if odd:
                 raise RecoveryError(size, f"hyperedge {tuple(odd[0])} is missing from the nodes")
+        needed += sum(mults.tolist()) * size * 8  # exact, where an int64 sum could wrap
+        if needed > DENSE_FALLBACK_MAX_BYTES:
+            raise RecoveryError(
+                max(size - 1, 1),
+                f"the recovered hyperedges need {needed} bytes, "
+                f"above the {DENSE_FALLBACK_MAX_BYTES}-byte limit",
+            )
         blocks.append(np.repeat(found, mults, axis=0))
     return _expand(n, blocks)

@@ -8,10 +8,38 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hyperdecomp
 from hyperdecomp import Hypergraph, canonicalize
 from hyperdecomp.io import read_simplex_format
 
 DATA_ENV = "HYPERDECOMP_DATA"
+
+# --- which package is under test ------------------------------------------
+# pytest's `pythonpath = ["src"]` (pyproject.toml) goes before PYTHONPATH, so
+# a run asked to test another tree would silently test this checkout's src/.
+
+_IMPORTED = Path(hyperdecomp.__file__).resolve().parent
+
+
+def pytest_report_header(config):
+    return f"hyperdecomp imported from {_IMPORTED}"
+
+
+def pytest_sessionstart(session):
+    """Stop when PYTHONPATH points at a different hyperdecomp than the one
+    imported: the first PYTHONPATH entry that holds the package names the
+    tree the run was asked to test."""
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        wanted = Path(entry).resolve() / "hyperdecomp"
+        if (wanted / "__init__.py").is_file():
+            if wanted != _IMPORTED:
+                pytest.exit(
+                    f"PYTHONPATH names {wanted}, but the tests import {_IMPORTED}, "
+                    "because pytest's pythonpath setting goes first; "
+                    "add -o pythonpath= to test the PYTHONPATH package",
+                    returncode=pytest.ExitCode.USAGE_ERROR,
+                )
+            return
 
 _DATASET_CACHE: dict[str, Hypergraph] = {}
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -314,6 +315,22 @@ def test_recover_rejects_duplicate_levels(small_input, tmp_path, capsys):
     code = run(["recover", str(out), str(out), "--out", str(tmp_path / "r.txt")])
     assert code == 1
     assert "twice" in capsys.readouterr().err
+
+
+def test_recover_refuses_a_multiplicity_too_large_to_expand(tmp_path, capsys):
+    src = write(tmp_path / "w1.txt", f"# level=1\nselfloop 0 {2**40}\n")
+    tracemalloc.start()
+    try:
+        code = run(["recover", src, "--out", str(tmp_path / "r.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: level 1: ")
+    assert f"need {2**40 * 8} bytes" in err[0]
+    assert peak < 2**24  # nothing near the 8 TiB the expansion would take
+    assert not (tmp_path / "r.txt").exists()
 
 
 def _console_script_spec(name):

@@ -1,6 +1,8 @@
 """File formats: parsing, error positions, and round trips."""
 
 import math
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from hyperdecomp import (
     write_spectrum_tsv,
     write_weighted_graph,
 )
+
+from conftest import random_hypergraph
 
 
 def write(path, text):
@@ -107,6 +111,151 @@ def test_simplex_values_beyond_int64_name_their_line(tmp_path):
     paths = simplex_triple(tmp_path, "2\n", f"{2**63 - 1} 0\n", f"{-(2**63)}\n")
     H, id_map = read_simplex_format(*paths)
     assert id_map == {2**63 - 1: 0, 0: 1} and H.timestamps.tolist() == [-(2**63)]
+
+
+# The per-token simplex reader that the bulk one replaced, kept as an oracle.
+
+
+def _oracle_int64(tok, path, lineno, what, low):
+    try:
+        value = int(tok)
+    except ValueError:
+        raise FormatError(path, lineno, f"expected {what}, got {tok!r}") from None
+    if not low <= value < 2**63:
+        shown = "-2**63" if low == -(2**63) else low
+        raise FormatError(path, lineno, f"{what} {value} is outside {shown}..2**63 - 1")
+    return value
+
+
+def _oracle_int_tokens(path, what, low):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return [
+            (_oracle_int64(tok, path, lineno, what, low), lineno)
+            for lineno, line in enumerate(fh, start=1)
+            for tok in line.replace(",", " ").split()
+        ]
+
+
+def oracle_read_simplex(nverts_path, simplices_path, times_path):
+    sizes = _oracle_int_tokens(nverts_path, "a hyperedge size", low=1)
+    members = _oracle_int_tokens(simplices_path, "a node id", low=0)
+    times = _oracle_int_tokens(times_path, "a timestamp", low=-(2**63))
+    if len(times) != len(sizes):
+        raise FormatError(
+            times_path,
+            times[-1][1] if times else 1,
+            f"{len(times)} timestamps for {len(sizes)} hyperedges",
+        )
+    total = sum(s for s, _ in sizes)
+    if total != len(members):
+        raise FormatError(
+            simplices_path,
+            members[-1][1] if members else 1,
+            f"member stream has {len(members)} entries, sizes sum to {total}",
+        )
+    id_map = {}
+    dense = [id_map.setdefault(value, len(id_map)) for value, _ in members]
+    starts = list(accumulate((size for size, _ in sizes), initial=0))
+    raw_edges = [dense[a:b] for a, b in zip(starts[:-1], starts[1:])]
+    return canonicalize(raw_edges, timestamps=[t for t, _ in times]), id_map
+
+
+def _outcome(read, paths):
+    try:
+        H, id_map = read(*paths)
+    except FormatError as exc:
+        return ("error", exc.path, exc.line, str(exc))
+    return ("parsed", H, list(id_map.items()))
+
+
+def assert_matches_simplex_oracle(paths):
+    got = _outcome(read_simplex_format, paths)
+    assert got == _outcome(oracle_read_simplex, paths)
+    if got[0] == "error":
+        assert got[1] in paths and got[2] >= 1
+
+
+def _render(tokens, seps):
+    """Tokens joined by the drawn separators, each file ending in a newline."""
+    return "".join(tok + sep for tok, sep in zip(tokens, seps)) + "\n"
+
+
+_SEPARATORS = st.sampled_from([" ", "\n", ",", ", ", " ,", "\n\n", "\t", ",\n", "\n \n"])
+_ODD_TOKENS = st.sampled_from(
+    ["x", "-1", "0", "+5", "1_000", "\u0663", "1.5", str(2**63), str(-(2**63) - 1), "\udcff"]
+)
+
+
+@st.composite
+def simplex_texts(draw, odd):
+    """Three simplex-format texts; with `odd`, some tokens may be malformed,
+    out of range or may break the size and timestamp counts."""
+    edges = draw(st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=5), max_size=12))
+    ids = draw(st.sampled_from([[0, 1], [10**6, 2**63 - 1], list(range(13))]))
+    stamps = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=len(edges),
+                           max_size=len(edges)))
+    files = [
+        [str(len(e)) for e in edges],
+        [str(ids[v % len(ids)]) for e in edges for v in e],
+        [str(t) for t in stamps],
+    ]
+    if odd:
+        for toks in files:
+            for _ in range(draw(st.integers(0, 2))):
+                if toks and draw(st.booleans()):
+                    toks[draw(st.integers(0, len(toks) - 1))] = draw(_ODD_TOKENS)
+                else:
+                    toks.insert(draw(st.integers(0, len(toks))), draw(_ODD_TOKENS))
+    return [_render(toks, draw(st.lists(_SEPARATORS, min_size=len(toks), max_size=len(toks))))
+            for toks in files]
+
+
+def _write_triple(folder, texts):
+    paths = [folder / f"oracle-{part}.txt" for part in ("nverts", "simplices", "times")]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
+    return [str(p) for p in paths]
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=simplex_texts(odd=False), block=st.sampled_from([1, 5, 64, 1 << 20]))
+def test_simplex_bulk_reader_matches_the_per_token_oracle(tmp_path_factory, texts, block):
+    paths = _write_triple(tmp_path_factory.getbasetemp(), texts)
+    with mock.patch.object(io_mod, "_READ_BLOCK", block):
+        got = _outcome(read_simplex_format, paths)
+    assert got[0] == "parsed"
+    assert got == _outcome(oracle_read_simplex, paths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=simplex_texts(odd=True), block=st.sampled_from([1, 5, 1 << 20]))
+def test_simplex_bulk_reader_errors_match_the_oracle(tmp_path_factory, texts, block):
+    paths = _write_triple(tmp_path_factory.getbasetemp(), texts)
+    with mock.patch.object(io_mod, "_READ_BLOCK", block):
+        assert_matches_simplex_oracle(paths)
+
+
+def test_simplex_bulk_reader_accepts_what_int_accepts(tmp_path):
+    paths = simplex_triple(tmp_path, "+2\n0_1\n", "\u0663 1_000\n7\n", "-0\n+5\n")
+    H, id_map = read_simplex_format(*paths)
+    assert id_map == {3: 0, 1000: 1, 7: 2}
+    assert H.member_tuples() == [(0, 1), (2,)] and H.timestamps.tolist() == [0, 5]
+
+
+def test_simplex_count_errors_name_the_last_token_line(tmp_path):
+    paths = simplex_triple(tmp_path, "1\n1\n", "0\n1\n\n, ,\n", "3\n\n4 5\n\n")
+    with pytest.raises(FormatError, match=r"x-times.txt:3: 3 timestamps for 2") as exc:
+        read_simplex_format(*paths)
+    paths = simplex_triple(tmp_path, "2\n", "0,\n\n", "\n")
+    with pytest.raises(FormatError, match=r"x-times.txt:1: 0 timestamps for 1"):
+        read_simplex_format(*paths)
+    paths = simplex_triple(tmp_path, "2\n", ",\n\n", "9\n")
+    with pytest.raises(FormatError, match=r"x-simplices.txt:1: member stream has 0 entries"):
+        read_simplex_format(*paths)
+    big = 2**63 - 1
+    paths = simplex_triple(tmp_path, f"{big}\n{big}\n", "0\n", "1\n2\n")
+    with pytest.raises(FormatError, match=f":1: member stream has 1 entries, sizes sum to {2 * big}"):
+        read_simplex_format(*paths)
 
 
 # --- line format -----------------------------------------------------------
@@ -257,6 +406,20 @@ def test_weighted_graph_header_required(tmp_path):
     assert exc.value.line == 2
 
 
+def test_weighted_graph_conflicting_level_headers(tmp_path):
+    p = write(tmp_path / "g.txt", "# level=1\n3 4 2\n# level=2\n")
+    with pytest.raises(FormatError, match="level 2 conflicts with level 1") as exc:
+        read_weighted_graph(p)
+    assert exc.value.line == 3
+    p = write(tmp_path / "g2.txt", "# level=2\n# level=2 level=1\n")
+    with pytest.raises(FormatError) as exc:
+        read_weighted_graph(p)
+    assert exc.value.line == 2
+    p = write(tmp_path / "g3.txt", "# level=1\n3 4 2\n# level=1\n# note level=1\n")
+    G = read_weighted_graph(p)
+    assert G.level == 1 and G.base.nodes.tolist() == [[3], [4]]
+
+
 def test_weighted_graph_subset_errors(tmp_path):
     p = write(tmp_path / "g.txt", "# level=2\n1-0 0-2 1\n")
     with pytest.raises(FormatError) as exc:
@@ -360,6 +523,47 @@ def test_edge_writers_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch):
         assert written(f"block{block}") == whole
 
 
+def reference_edge_file(G, weights=None, self_loops=None):
+    """What the edge writers must produce, formatted one line at a time."""
+    labels = ["-".join(str(i) for i in row) for row in G.nodes.tolist()]
+    lines = [f"# level={G.level}"]
+    for i, (u, v) in enumerate(G.edge_array.tolist()):
+        lines.append(f"{labels[u]} {labels[v]}" + ("" if weights is None else f" {weights[i]}"))
+    if weights is not None:
+        on_edge = set(G.edge_array.ravel().tolist())
+        lines += [f"node {label}" for i, label in enumerate(labels) if i not in on_edge]
+    lines += [f"selfloop {labels[i]} {count}" for i, count in sorted((self_loops or {}).items())]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), block=st.sampled_from([1, 3, 7, io_mod._WRITE_BLOCK]))
+def test_edge_writers_match_a_per_line_reference(tmp_path_factory, seed, block):
+    rng = np.random.default_rng(seed)
+    H = random_hypergraph(rng, max_nodes=12, max_edge_size=6, max_edges=12)
+    path = tmp_path_factory.getbasetemp() / "edge-writer.txt"
+    with mock.patch.object(io_mod, "_WRITE_BLOCK", block):
+        for level in (1, 2, 3, 4):
+            G = decompose_weighted(H, level)
+            write_weighted_graph(G, str(path))
+            assert path.read_text() == reference_edge_file(G.base, G.weights, G.self_loops)
+            write_decomposed_graph(G.base, str(path))
+            assert path.read_text() == reference_edge_file(G.base)
+
+
+def test_edge_writers_on_small_and_edgeless_graphs(tmp_path):
+    H = canonicalize([[0], [0], [5], [3, 9]])
+    cases = {1: "# level=1\n3 9 1\nnode 0\nnode 5\nselfloop 0 2\nselfloop 5 1\n",
+             2: "# level=2\nnode 3-9\n", 3: "# level=3\n"}
+    for level, want in cases.items():
+        G = decompose_weighted(H, level)
+        write_weighted_graph(G, str(tmp_path / "w.txt"))
+        assert (tmp_path / "w.txt").read_text() == want
+        assert want == reference_edge_file(G.base, G.weights, G.self_loops)
+        write_decomposed_graph(G.base, str(tmp_path / "u.txt"))
+        assert (tmp_path / "u.txt").read_text() == reference_edge_file(G.base)
+
+
 def test_line_writer_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch):
     raw = [[0], [0], [0, 1, 2], [1, 12], [3, 4, 5, 6], [7], [4, 5, 6]]
     graphs = [canonicalize(raw), canonicalize(raw, timestamps=[5, -1, 3, 2**63 - 1, 0, 0, 9])]
@@ -391,11 +595,16 @@ _EDGE_TOKENS = [
     for tok in [
         "-1", "0", "2", str(2**63 - 1), str(2**63), str(10**30), "1-0", "0-0", "0-1-2",
         "x", "1.5", "", "#", "node", "selfloop", "level=2", f"level={2**63}", "t=", "t=1",
+        "+5", "1_000", "\u0663", "1,2", ",",
     ]
 ] + [b"\xff"]
 
 
 def _parses_or_raises_format_error(read, paths):
+    """Every reader raises only FormatErrors that name a line of one of its
+    files; the simplex reader must also do exactly what its oracle does."""
+    if read is read_simplex_format:
+        assert_matches_simplex_oracle(paths)
     try:
         read(*paths)
     except FormatError as exc:

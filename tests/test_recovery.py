@@ -17,6 +17,7 @@ from hyperdecomp import (
     read_weighted_graph,
     recover,
 )
+import hyperdecomp.recovery as recovery_mod
 from hyperdecomp.recovery import _subtract
 
 from conftest import random_hypergraph
@@ -223,6 +224,22 @@ def test_large_self_loop_counts_recover_as_arrays(tmp_path):
     path.write_text(f"# level=1\n0 1 1\nselfloop 1 {2**62}\nselfloop 1 {2**62}\n")
     with pytest.raises(ValidationError, match="self-loop count"):
         read_weighted_graph(str(path))
+
+
+def test_recovered_size_is_bounded_before_expansion(monkeypatch):
+    # 3 x (0, 1, 2) and 2 x (1, 3): 13 int64 members, 104 bytes.
+    H = canonicalize([[0, 1, 2], [0, 1, 2], [0, 1, 2], [1, 3], [1, 3]])
+    graphs = stack(H)
+    monkeypatch.setattr(recovery_mod, "DENSE_FALLBACK_MAX_BYTES", 104)
+    assert edge_multiset(recover(graphs)) == edge_multiset(H)
+    monkeypatch.setattr(recovery_mod, "DENSE_FALLBACK_MAX_BYTES", 103)
+    with pytest.raises(RecoveryError, match="need 104 bytes, above the 103-byte") as exc:
+        recover(graphs)
+    assert exc.value.level == 1  # crossed while expanding the size-2 hyperedges
+    monkeypatch.setattr(recovery_mod, "DENSE_FALLBACK_MAX_BYTES", 71)
+    with pytest.raises(RecoveryError, match="need 72 bytes") as exc:
+        recover(graphs)
+    assert exc.value.level == 2
 
 
 def test_recovered_edges_have_no_timestamps():

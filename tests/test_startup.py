@@ -141,3 +141,34 @@ def test_analyze_output_is_identical_for_any_worker_count(tmp_path):
     assert set(threaded) == expected
     for name in sorted(expected):
         assert threaded[name] == serial[name], name
+
+
+def _collect_surface_tests(pythonpath):
+    """`pytest --collect-only` of one test file from the checkout root."""
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-p", "no:cacheprovider",
+         "tests/test_surface.py"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+
+
+def test_pytest_names_the_package_it_tests_and_stops_on_another(tmp_path):
+    checkout = Path(__file__).resolve().parents[1] / "src" / "hyperdecomp"
+    other = tmp_path / "other"
+    (other / "hyperdecomp").mkdir(parents=True)
+    (other / "hyperdecomp" / "__init__.py").write_text("")
+
+    proc = _collect_surface_tests(str(other))
+    said = proc.stdout + proc.stderr
+    assert proc.returncode == 4, said
+    assert str(other / "hyperdecomp") in said and str(checkout) in said
+    assert "-o pythonpath=" in said
+
+    # The first PYTHONPATH entry holding the package decides, as for Python.
+    proc = _collect_surface_tests(os.pathsep.join([str(checkout.parent), str(other)]))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"hyperdecomp imported from {checkout}" in proc.stdout
