@@ -132,10 +132,16 @@ class Hypergraph:
         sizes = np.diff(self.offsets)
         top = sizes.max(initial=0) if largest is None else largest
         keep = np.flatnonzero((sizes >= smallest) & (sizes <= top))
-        keep = keep[np.argsort(sizes[keep], kind="stable")]
-        for idx in np.split(keep, np.flatnonzero(np.diff(sizes[keep])) + 1):
-            if idx.size:
-                yield idx, self.members[self.offsets[idx, None] + np.arange(sizes[idx[0]])]
+        for group in key_groups(sizes[keep]):
+            idx = keep[group]
+            yield idx, self.members[self.offsets[idx, None] + np.arange(sizes[idx[0]])]
+
+
+def key_groups(keys: np.ndarray) -> list[np.ndarray]:
+    """The indices of each distinct value of a 1-D integer array, by ascending
+    value, each group in index order."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1) if order.size else []
 
 
 def pack_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -341,17 +347,21 @@ def canonicalize(
         offsets, flat = raw_edges.offsets, raw_edges.members
     else:
         offsets, flat = pack_rows(list(raw_edges))
-    count = len(offsets) - 1
-    edge_of = np.repeat(np.arange(count), np.diff(offsets))
-    order = np.lexsort((flat, edge_of))
-    flat, edge_of = flat[order], edge_of[order]
+    sizes = np.diff(offsets)
+    flat = flat.copy()
+    # Members are sorted within each hyperedge, a block of equal sizes at a time.
+    for idx in key_groups(sizes):
+        at = offsets[idx, None] + np.arange(sizes[idx[0]])
+        flat[at] = np.sort(flat[at], axis=1)
     keep = np.ones(len(flat), dtype=bool)
-    keep[1:] = (flat[1:] != flat[:-1]) | (edge_of[1:] != edge_of[:-1])
-    flat, sizes = flat[keep], np.bincount(edge_of[keep], minlength=count)
+    keep[1:] = flat[1:] != flat[:-1]
+    keep[offsets[:-1][sizes > 0]] = True  # each hyperedge keeps its first member
+    kept = np.append(0, np.cumsum(keep))
+    flat = flat[keep]
     n = int(flat.max(initial=-1)) + 1 if n is None else n
     # One row, so that timestamps get the int64 check that ids get.
     stamps = None if timestamps is None else pack_rows([timestamps])[1]
-    return Hypergraph(n, np.append(0, np.cumsum(sizes)), flat, stamps)
+    return Hypergraph(n, kept[offsets], flat, stamps)
 
 
 def dedup(H: Hypergraph) -> Hypergraph:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DecomposedGraph, ValidationError, _Components
+from .core import DecomposedGraph, ValidationError, _Components, key_groups, rank_rows
 
 # scipy is imported inside the functions that need it, so importing this
 # module (and with it the CLI) stays cheap for commands that never measure.
@@ -255,16 +255,20 @@ def singular_values(
 ) -> SingularSpectrum:
     """Top-m singular values of the 0/1 adjacency matrix, descending.
 
-    For the symmetric adjacency these are eigenvalue magnitudes. The
-    adjacency is block-diagonal by connected component, so its spectrum is
-    the union of the components' spectra, each counted with its own
-    multiplicity: the top min(m, s) of every s-node component are merged.
-    A component with m <= s - 2 is solved by restarted Lanczos iteration;
-    one whose request covers essentially its whole spectrum (m > s - 2)
+    For the symmetric adjacency these are eigenvalue magnitudes. True twins,
+    nodes with the same closed neighbourhood N(v) | {v}, are folded first:
+    a class C of them carries |C| - 1 eigenvalues exactly -1, and the rest
+    of the spectrum is that of the twin quotient (see `_twin_quotient`),
+    which has one node per class. The quotient is block-diagonal by
+    connected component, so its spectrum is the union of the components'
+    spectra, each counted with its own multiplicity: the top min(m, q) of
+    every q-class component are merged with the exact copies of 1.0. A
+    component with m <= q - 2 is solved by restarted Lanczos iteration;
+    one whose request covers essentially its whole spectrum (m > q - 2)
     goes to a dense eigensolver, which the iterative machinery cannot
     serve. That fallback raises MetricError instead of allocating a dense
-    component matrix above DENSE_FALLBACK_MAX_BYTES. `m` defaults to 500
-    and is capped at the node count.
+    q x q matrix above DENSE_FALLBACK_MAX_BYTES. `m` defaults to 500 and
+    is capped at the node count.
     """
     n = G.num_nodes
     if m is None:
@@ -277,57 +281,109 @@ def singular_values(
     if G.num_edges == 0:
         return SingularSpectrum(values=(0.0,) * m, requested=m)
 
-    comps = G._components
-    sizes = np.diff(comps.bounds)
-    s = int(sizes[sizes < m + 2].max(initial=0))
-    if s * s * 8 > DENSE_FALLBACK_MAX_BYTES:
+    S, bounds = _twin_quotient(G._components)
+    sizes = np.diff(bounds)
+    q = int(sizes[sizes < m + 2].max(initial=0))
+    if q * q * 8 > DENSE_FALLBACK_MAX_BYTES:
         raise MetricError(
-            f"dense eigensolver fallback for m={m} on a {s}-node component "
-            f"needs {s * s * 8} bytes, above the {DENSE_FALLBACK_MAX_BYTES}-byte "
-            f"limit; request m <= {s - 2}"
+            f"dense eigensolver fallback for m={m} on a {q}-node component of the "
+            f"twin quotient needs {q * q * 8} bytes, above the "
+            f"{DENSE_FALLBACK_MAX_BYTES}-byte limit; request m <= {q - 2}"
         )
-    parts = _dense_magnitudes(G, comps, m)
+    parts = _dense_magnitudes(S, bounds, m)
     parts += [
-        _lanczos_magnitudes(_block(comps.csr, lo, hi).astype(np.float64), m, rel_tol, max_iter)
-        for lo, hi in zip(comps.bounds[:-1], comps.bounds[1:])
+        _lanczos_magnitudes(_block(S, lo, hi).astype(np.float64), m, rel_tol, max_iter)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi - lo >= m + 2
     ]
+    parts.append(np.ones(min(n - S.shape[0], m)))  # the folded eigenvalues -1
     vals = np.sort(np.concatenate(parts))[::-1][:m]
     return SingularSpectrum(values=tuple(float(v) for v in vals), requested=m)
 
 
-def _dense_magnitudes(G: DecomposedGraph, comps: _Components, m: int) -> list[np.ndarray]:
-    """Top min(m, s) eigenvalue magnitudes of every s-node component with
-    m > s - 2, the components the iterative solver cannot serve.
+def _twin_classes(csr) -> np.ndarray:
+    """The first position of each node's true-twin class.
 
-    Components of one size are solved together: their adjacencies are
-    written straight from the edge list into (count, s, s) stacks of at
-    most DENSE_FALLBACK_MAX_BYTES, one batched eigvalsh each.
+    Twins have equal degrees, so the nodes of each degree d are ranked
+    together by their sorted closed-neighbourhood rows of d + 1 entries.
     """
-    sizes = np.diff(comps.bounds)
+    degree = np.diff(csr.indptr)
+    first = np.arange(csr.shape[0])
+    for idx in key_groups(degree):
+        d = int(degree[idx[0]])
+        rows = np.empty((idx.size, d + 1), dtype=csr.indices.dtype)
+        rows[:, :d] = csr.indices[csr.indptr[idx, None] + np.arange(d)]
+        rows[:, d] = idx
+        rows.sort(axis=1)
+        _, inverse, head = rank_rows(rows)
+        first[idx] = idx[head][inverse]
+    return first
+
+
+def _twin_quotient(comps: _Components):
+    """The symmetric twin quotient S of a component-ordered adjacency, and
+    the bounds of its diagonal blocks.
+
+    S has one node per true-twin class, |C| - 1 on its diagonal and
+    sqrt(|C| * |D|) between adjacent classes C and D, every member of C
+    being adjacent to every member of D. It is the symmetrized quotient of
+    an equitable partition (Godsil & Royle, Algebraic Graph Theory, 2001,
+    section 9.3): its eigenvalues are the adjacency's, less |C| - 1 copies
+    of -1 per class. Classes are numbered by their first position, so S is
+    block-diagonal like the adjacency. Without twins, S equals the adjacency.
+    """
+    csr = comps.csr
+    first = _twin_classes(csr)
+    lead = first == np.arange(first.size)
+    before = np.cumsum(lead)
+    label = before[first] - 1
+    size = np.bincount(label)
+    q = size.size
+    # The row of a class's first member reaches its own class |C| - 1 times
+    # and each adjacent class D |D| times.
+    rows = csr[np.flatnonzero(lead)]
+    cell = np.repeat(np.arange(q), np.diff(rows.indptr)) * q + label[rows.indices]
+    cell, count = np.unique(cell, return_counts=True)
+    row, col = np.divmod(cell, q)
+    value = np.where(row == col, count, np.sqrt(size[row] * count))
+    from scipy.sparse import csr_matrix
+
+    indptr = np.append(0, np.cumsum(np.bincount(row, minlength=q)))
+    return csr_matrix((value, col, indptr), shape=(q, q)), np.append(0, before)[comps.bounds]
+
+
+def _dense_magnitudes(S, bounds: np.ndarray, m: int) -> list[np.ndarray]:
+    """Top min(m, q) eigenvalue magnitudes of every q-row diagonal block of
+    the block-diagonal S with m > q - 2, the blocks the iterative solver
+    cannot serve.
+
+    Blocks of one size are solved together: their entries are written
+    straight from S into (count, q, q) stacks of at most
+    DENSE_FALLBACK_MAX_BYTES, one batched eigvalsh each.
+    """
+    sizes = np.diff(bounds)
     dense = np.flatnonzero(sizes < m + 2)
     dense = dense[np.argsort(sizes[dense], kind="stable")]
     slot = np.full(sizes.size, -1, dtype=np.int64)
     slot[dense] = np.arange(dense.size)
-    u, v = G.edge_array.T
-    edge_slot = slot[comps.labels[u]]
-    mine = np.flatnonzero(edge_slot >= 0)
-    mine = mine[np.argsort(edge_slot[mine], kind="stable")]
-    u, v, edge_slot = u[mine], v[mine], edge_slot[mine]
-    start = comps.bounds[comps.labels[u]]
-    lu, lv = comps.position[u] - start, comps.position[v] - start
+    row = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    block = np.repeat(np.arange(sizes.size), sizes)[row]
+    entry_slot = slot[block]
+    mine = np.flatnonzero(entry_slot >= 0)
+    mine = mine[np.argsort(entry_slot[mine], kind="stable")]
+    start = bounds[block[mine]]
+    lr, lc, value = row[mine] - start, S.indices[mine] - start, S.data[mine]
+    entry_slot = entry_slot[mine]
     out = []
     group_starts = np.flatnonzero(np.diff(sizes[dense], prepend=-1))
     for a, b in zip(group_starts, [*group_starts[1:], dense.size]):
-        s = int(sizes[dense[a]])
-        per_stack = DENSE_FALLBACK_MAX_BYTES // (s * s * 8)
+        q = int(sizes[dense[a]])
+        per_stack = DENSE_FALLBACK_MAX_BYTES // (q * q * 8)
         for first in range(a, b, per_stack):
             last = min(first + per_stack, b)
-            lo, hi = np.searchsorted(edge_slot, [first, last])
-            at = edge_slot[lo:hi] - first
-            stack = np.zeros((last - first, s, s))
-            stack[at, lu[lo:hi], lv[lo:hi]] = 1.0
-            stack[at, lv[lo:hi], lu[lo:hi]] = 1.0
+            lo, hi = np.searchsorted(entry_slot, [first, last])
+            stack = np.zeros((last - first, q, q))
+            stack[entry_slot[lo:hi] - first, lr[lo:hi], lc[lo:hi]] = value[lo:hi]
             mags = np.sort(np.abs(np.linalg.eigvalsh(stack)), axis=1)
             out.append(mags[:, ::-1][:, :m].ravel())
     return out

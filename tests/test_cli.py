@@ -1,5 +1,6 @@
 """End-to-end command-line behavior via in-process main() calls."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperdecomp
@@ -381,3 +383,53 @@ def test_installed_entry_point_smoke(tmp_path):
     exe = shutil.which("hyperdecomp")
     if exe is not None:
         _smoke_decompose([exe], tmp_path / "script")
+
+
+# --- pinned analyze and evaluate reports ------------------------------------
+
+# sha256 of every file `analyze` writes at levels 1-3 and of the `evaluate`
+# scorecard, both with 20 singular values. Hyperedges draw their members
+# with probability falling as 1/rank, so the level-2 and level-3 graphs
+# hold many cliques of true twins, and their giant components keep more
+# than 22 twin classes: the spectrum runs Lanczos there, on a twin quotient.
+# A changed digest means changed output bytes.
+PINNED_REPORTS = {
+    "analyze/level1-degrees.tsv": "9ea96c757b37ebef883451ae76f376c97a46071d76963a43816d6c2b2f21b9ce",
+    "analyze/level1-spectrum.tsv": "4b033fe019de67559ec979faf12a053fa528c57e8cfda54055e09cf5caaaf355",
+    "analyze/level1.json": "e9a853f86a4826e19f3a7dcfd41ec0e8a5cfcefcf2fb18d017a09f0f6b96d616",
+    "analyze/level2-degrees.tsv": "1a71a4676a975dc2c970c2ec712a3863c38a7044fa28dd2f6ae4ccafb1562fd9",
+    "analyze/level2-spectrum.tsv": "129374a6ea8040bbc82b2719f548e823b2a6fccacf62df9cb1e30b0ff179c87c",
+    "analyze/level2.json": "1d38c813c155f5e75f774b974ffee38b77292051a4dcc78cbb39f78e212303a1",
+    "analyze/level3-degrees.tsv": "31b011913001cca5d1b906ef5d4cc75f09c2534fd1fe6fbff3c146d1cc8f7e3c",
+    "analyze/level3-spectrum.tsv": "850cf9d07ca1becdea3c9926ec7cf1c303b96c400142a9f68bff9393ec24bb1f",
+    "analyze/level3.json": "6fc3b8454f3f3ebcb7dd175329eb2d8d9283794e3c6599c8c21177a55784ade3",
+    "card.json": "aa9763bcd2379ac159a6cff7dc8cafad455253e3134433f68c20c1e9df6084a5",
+}
+
+
+def _ranked_input(path, seed):
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, 51)
+    edges = [
+        np.sort(rng.choice(50, size=int(size), replace=False, p=weights / weights.sum()))
+        for size in rng.choice([2, 3, 3, 4, 4, 5, 6], size=90)
+    ]
+    path.write_text("".join(" ".join(map(str, e.tolist())) + "\n" for e in edges))
+    return str(path)
+
+
+def test_analyze_and_evaluate_outputs_are_pinned(tmp_path, capsys):
+    real = _ranked_input(tmp_path / "real.txt", 0)
+    gen = _ranked_input(tmp_path / "gen.txt", 1)
+    common = ["--levels", "1,2,3", "--sv-count", "20"]
+    assert run(["analyze", real, *common, "--out", str(tmp_path / "analyze")]) == 0
+    assert run(["evaluate", real, gen, *common, "--out", str(tmp_path / "card.json")]) == 0
+    written = sorted(
+        str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()
+    )
+    assert written == sorted([*PINNED_REPORTS, "gen.txt", "real.txt"])
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in PINNED_REPORTS
+    }
+    assert digests == PINNED_REPORTS
