@@ -206,7 +206,6 @@ class _Components(NamedTuple):
     columns in position order, so it is block-diagonal.
     """
 
-    labels: np.ndarray
     position: np.ndarray
     bounds: np.ndarray
     csr: Any
@@ -272,11 +271,11 @@ class DecomposedGraph:
         bounds = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(np.bincount(labels, minlength=count), out=bounds[1:])
         if np.all(labels[1:] >= labels[:-1]):  # already in component order
-            return _Components(labels, np.arange(n, dtype=np.int64), bounds, self._csr)
+            return _Components(np.arange(n, dtype=np.int64), bounds, self._csr)
         position = np.empty(n, dtype=np.int64)
         position[np.argsort(labels, kind="stable")] = np.arange(n, dtype=np.int64)
         u, v = self.edge_array.T
-        return _Components(labels, position, bounds, _adjacency(n, position[u], position[v]))
+        return _Components(position, bounds, _adjacency(n, position[u], position[v]))
 
     def adjacency_csr(self):
         return self._csr

@@ -458,50 +458,35 @@ def _level_profile(H: Hypergraph, level: int, sv_count: int, seed: int) -> _Leve
     return _LevelProfile(report, degrees, spectrum, diameter, clustering_coefficient(G))
 
 
-def _score_level(
-    real: _LevelProfile, gen: _LevelProfile
-) -> dict[str, PatternOutcome]:
-    row: dict[str, PatternOutcome] = {}
-    p1 = gen.report.is_giant
-    row["P1"] = PatternOutcome(
-        AWARDED if p1 else DENIED,
-        {
-            "real_largest_frac": real.report.largest_frac,
-            "gen_largest_frac": gen.report.largest_frac,
-        },
-    )
+def _score_level(real: _LevelProfile, gen: _LevelProfile) -> dict[str, PatternOutcome]:
+    def outcome(ok: bool, detail: dict) -> PatternOutcome:
+        return PatternOutcome(AWARDED if ok else DENIED, detail)
 
+    def ks_close(a: np.ndarray, b: np.ndarray) -> PatternOutcome:  # P2 and P5
+        d = ks_dstat(a, b)
+        return outcome(d < KS_THRESHOLD, {"ks": d})
+
+    def within_a_third(r: float, g: float, cap: float = math.inf) -> PatternOutcome:  # P3, P4
+        return outcome(2.0 * r / 3.0 < g < min(4.0 * r / 3.0, cap), {"real": r, "gen": g})
+
+    largest = {"real_largest_frac": real.report.largest_frac,
+               "gen_largest_frac": gen.report.largest_frac}
+    row = {"P1": outcome(gen.report.is_giant, largest)}
     if gen.degrees.size == 0:
-        row["P2"] = PatternOutcome(DENIED, {"reason": "generated level graph is empty"})
-        row["P5"] = PatternOutcome(DENIED, {"reason": "generated level graph is empty"})
+        for name in ("P2", "P5"):
+            row[name] = outcome(False, {"reason": "generated level graph is empty"})
     else:
-        d_deg = ks_dstat(real.degrees, gen.degrees)
-        row["P2"] = PatternOutcome(
-            AWARDED if d_deg < KS_THRESHOLD else DENIED, {"ks": d_deg}
-        )
-        d_sv = ks_dstat(real.spectrum, gen.spectrum)
-        row["P5"] = PatternOutcome(
-            AWARDED if d_sv < KS_THRESHOLD else DENIED, {"ks": d_sv}
-        )
-
-    if not p1:
-        reason = {"reason": "generated graph lacks a giant component"}
-        row["P3"] = PatternOutcome(DENIED, dict(reason))
-        row["P4"] = PatternOutcome(DENIED, dict(reason))
+        row["P2"] = ks_close(real.degrees, gen.degrees)
+        row["P5"] = ks_close(real.spectrum, gen.spectrum)
+    if not gen.report.is_giant:
+        for name in ("P3", "P4"):
+            row[name] = outcome(False, {"reason": "generated graph lacks a giant component"})
         return row
 
     assert real.diameter is not None and real.clustering is not None
     assert gen.diameter is not None and gen.clustering is not None
-    d, d_gen = real.diameter, gen.diameter
-    ok_d = 2.0 * d / 3.0 < d_gen < 4.0 * d / 3.0
-    row["P3"] = PatternOutcome(
-        AWARDED if ok_d else DENIED, {"real": d, "gen": d_gen}
-    )
-    c, c_gen = real.clustering, gen.clustering
-    ok_c = 2.0 * c / 3.0 < c_gen < min(4.0 * c / 3.0, 1.0)
-    row["P4"] = PatternOutcome(
-        AWARDED if ok_c else DENIED, {"real": c, "gen": c_gen}
-    )
+    row["P3"] = within_a_third(real.diameter, gen.diameter)
+    row["P4"] = within_a_third(real.clustering, gen.clustering, cap=1.0)
     return row
 
 

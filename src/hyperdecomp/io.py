@@ -68,46 +68,39 @@ def _int64(tok: str, path: str, lineno: int, what: str, low: int) -> int:
     return value
 
 
-def _int_tokens(path: str, what: str, low: int) -> list[tuple[int, int]]:
-    """(value, line_number) for every integer token; commas are separators."""
-    with _open_input(path) as fh:
-        return [
-            (_int64(tok, path, lineno, what, low), lineno)
-            for lineno, line in enumerate(fh, start=1)
-            for tok in line.replace(",", " ").split()
-        ]
-
-
 # Lines are parsed about this many characters at a time; a token never spans
 # lines, so no block boundary splits one.
 _READ_BLOCK = 1 << 20
 
 
-def _int_array(path: str, what: str, low: int) -> np.ndarray:
-    """The values of `_int_tokens`, parsed a block of lines at a time. A file
-    that fails the bulk parse is parsed again by `_int_tokens`, which names
-    the file and line of the first bad token."""
+def _int_array(path: str, what: str, low: int) -> tuple[np.ndarray, int]:
+    """Every integer token of a file (commas are separators) and the line of
+    the last one, or 1 if there is none. The file is read once, a block of
+    lines at a time. A block that fails the bulk parse, or holds a value
+    below `low`, is parsed again token by token to name the file and line of
+    its first bad token; every earlier block passed both checks, so that
+    token is the file's first."""
     blocks = [np.empty(0, np.int64)]
+    seen, last = 0, 1  # lines read, and the last of them that holds a token
     with _open_input(path) as fh:
         for lines in iter(lambda: fh.readlines(_READ_BLOCK), []):
             toks = "".join(lines).replace(",", " ").split()
             try:
-                blocks.append(np.fromiter(map(int, toks), np.int64, len(toks)))
+                block = np.fromiter(map(int, toks), np.int64, len(toks))
             except (ValueError, OverflowError):  # not an integer, or outside int64
-                break
-        else:
-            values = np.concatenate(blocks)
-            if values.min(initial=low) >= low:
-                return values
-    _int_tokens(path, what, low)
-    raise AssertionError(f"{path}: a token failed the bulk parse but not the per-token one")
-
-
-def _last_token_line(path: str) -> int:
-    """Line of the last token in a file, or 1 if it has none."""
-    with _open_input(path) as fh:
-        lines = enumerate(fh, start=1)
-        return max((n for n, line in lines if line.replace(",", " ").split()), default=1)
+                block = None
+            if block is None or block.min(initial=low) < low:
+                for lineno, line in enumerate(lines, start=seen + 1):
+                    for tok in line.replace(",", " ").split():
+                        _int64(tok, path, lineno, what, low)
+                raise AssertionError(f"{path}: a token failed the bulk parse but not _int64")
+            blocks.append(block)
+            if toks:  # found from the block's end, usually at its last line
+                last = seen + next(
+                    i for i in range(len(lines), 0, -1) if lines[i - 1].replace(",", " ").split()
+                )
+            seen += len(lines)
+    return np.concatenate(blocks), last
 
 
 def read_simplex_format(
@@ -119,20 +112,18 @@ def read_simplex_format(
     returned dict maps original id to dense id. Hyperedges keep their
     input order and may repeat.
     """
-    sizes = _int_array(nverts_path, "a hyperedge size", low=1)
-    members = _int_array(simplices_path, "a node id", low=0)
-    times = _int_array(times_path, "a timestamp", low=-(2**63))
+    sizes = _int_array(nverts_path, "a hyperedge size", low=1)[0]
+    members, members_end = _int_array(simplices_path, "a node id", low=0)
+    times, times_end = _int_array(times_path, "a timestamp", low=-(2**63))
     if len(times) != len(sizes):
         raise FormatError(
-            times_path,
-            _last_token_line(times_path),
-            f"{len(times)} timestamps for {len(sizes)} hyperedges",
+            times_path, times_end, f"{len(times)} timestamps for {len(sizes)} hyperedges"
         )
     total = sum(sizes.tolist())  # exact: an int64 sum of sizes could wrap
     if total != len(members):
         raise FormatError(
             simplices_path,
-            _last_token_line(simplices_path),
+            members_end,
             f"member stream has {len(members)} entries, sizes sum to {total}",
         )
 
@@ -175,10 +166,11 @@ def read_line_format(path: str, n: int | None = None) -> Hypergraph:
     return canonicalize(raw_edges, n=n, timestamps=stamps)  # type: ignore[arg-type]
 
 
-# Lines are formatted this many hyperedges or edges at a time, so that no
-# Python list spans a whole array. A block's lines, their joined text and its
-# encoding are all held at once: with 2**16 the peak RSS of a 480k-edge
-# level-2 `decompose` was 3 MB higher, and larger blocks were no faster.
+# Lines are formatted this many hyperedges, edges or node labels at a time,
+# so that no Python list spans a whole array. A block's lines, their joined
+# text and its encoding are all held at once: with 2**16 the peak RSS of a
+# 480k-edge level-2 `decompose` was 3 MB higher, and larger blocks were no
+# faster.
 _WRITE_BLOCK = 2**10
 
 
@@ -221,8 +213,10 @@ def _write_edges(
     With weights, each edge line ends in its weight and a `node` line lists
     every node that lies on no edge, so the file keeps all of the nodes.
     """
-    columns = [map(str, col) for col in base.nodes.T.tolist()]
-    labels = np.fromiter(map("-".join, zip(*columns)), object, len(base.nodes))
+    labels = np.empty(len(base.nodes), object)
+    for start in range(0, len(labels), _WRITE_BLOCK):
+        columns = [map(str, col) for col in base.nodes[start : start + _WRITE_BLOCK].T.tolist()]
+        labels[start : start + _WRITE_BLOCK] = list(map("-".join, zip(*columns)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level={base.level}\n")
         for start in range(0, base.num_edges, _WRITE_BLOCK):

@@ -44,6 +44,11 @@ DENSE_FALLBACK_MAX_BYTES = 2 * 1024**3
 # The effective diameter is this quantile of the pairwise distances.
 DIAMETER_QUANTILE = 0.9
 
+# Restarted Lanczos stops at this relative accuracy of each eigenvalue, and
+# fails after this many restarts per row of the component it solves.
+_LANCZOS_TOL = 1e-8
+_LANCZOS_ITERS_PER_ROW = 50
+
 
 class MetricError(ValueError):
     pass
@@ -247,12 +252,7 @@ class SingularSpectrum:
         return {"requested": self.requested, "values": list(self.values)}
 
 
-def singular_values(
-    G: DecomposedGraph,
-    m: int | None = None,
-    rel_tol: float = 1e-8,
-    max_iter: int | None = None,
-) -> SingularSpectrum:
+def singular_values(G: DecomposedGraph, m: int | None = None) -> SingularSpectrum:
     """Top-m singular values of the 0/1 adjacency matrix, descending.
 
     For the symmetric adjacency these are eigenvalue magnitudes. True twins,
@@ -283,18 +283,18 @@ def singular_values(
 
     S, bounds = _twin_quotient(G._components)
     sizes = np.diff(bounds)
-    q = int(sizes[sizes < m + 2].max(initial=0))
+    dense = sizes < m + 2
+    q = int(sizes[dense].max(initial=0))
     if q * q * 8 > DENSE_FALLBACK_MAX_BYTES:
         raise MetricError(
             f"dense eigensolver fallback for m={m} on a {q}-node component of the "
             f"twin quotient needs {q * q * 8} bytes, above the "
             f"{DENSE_FALLBACK_MAX_BYTES}-byte limit; request m <= {q - 2}"
         )
-    parts = _dense_magnitudes(S, bounds, m)
+    parts = _dense_magnitudes(S, bounds, np.flatnonzero(dense), m)
     parts += [
-        _lanczos_magnitudes(_block(S, lo, hi).astype(np.float64), m, rel_tol, max_iter)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi - lo >= m + 2
+        _lanczos_magnitudes(_block(S, bounds[c], bounds[c + 1]).astype(np.float64), m)
+        for c in np.flatnonzero(~dense)
     ]
     parts.append(np.ones(min(n - S.shape[0], m)))  # the folded eigenvalues -1
     vals = np.sort(np.concatenate(parts))[::-1][:m]
@@ -352,17 +352,15 @@ def _twin_quotient(comps: _Components):
     return csr_matrix((value, col, indptr), shape=(q, q)), np.append(0, before)[comps.bounds]
 
 
-def _dense_magnitudes(S, bounds: np.ndarray, m: int) -> list[np.ndarray]:
-    """Top min(m, q) eigenvalue magnitudes of every q-row diagonal block of
-    the block-diagonal S with m > q - 2, the blocks the iterative solver
-    cannot serve.
+def _dense_magnitudes(S, bounds: np.ndarray, dense: np.ndarray, m: int) -> list[np.ndarray]:
+    """Top min(m, q) eigenvalue magnitudes of the q-row diagonal blocks
+    `dense` of the block-diagonal S.
 
     Blocks of one size are solved together: their entries are written
     straight from S into (count, q, q) stacks of at most
     DENSE_FALLBACK_MAX_BYTES, one batched eigvalsh each.
     """
     sizes = np.diff(bounds)
-    dense = np.flatnonzero(sizes < m + 2)
     dense = dense[np.argsort(sizes[dense], kind="stable")]
     slot = np.full(sizes.size, -1, dtype=np.int64)
     slot[dense] = np.arange(dense.size)
@@ -389,9 +387,7 @@ def _dense_magnitudes(S, bounds: np.ndarray, m: int) -> list[np.ndarray]:
     return out
 
 
-def _lanczos_magnitudes(
-    block: sp.csr_matrix, m: int, rel_tol: float, max_iter: int | None
-) -> np.ndarray:
+def _lanczos_magnitudes(block: sp.csr_matrix, m: int) -> np.ndarray:
     """Top-m eigenvalue magnitudes of one component by restarted Lanczos."""
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -403,8 +399,8 @@ def _lanczos_magnitudes(
             block,
             k=m,
             which="LM",
-            tol=rel_tol,
-            maxiter=max_iter if max_iter is not None else s * 50,
+            tol=_LANCZOS_TOL,
+            maxiter=s * _LANCZOS_ITERS_PER_ROW,
             v0=v0,
             return_eigenvectors=False,
         )

@@ -258,6 +258,33 @@ def test_simplex_count_errors_name_the_last_token_line(tmp_path):
         read_simplex_format(*paths)
 
 
+@pytest.mark.parametrize(
+    "texts, error",
+    [
+        (("2\n1\n", "0 1\n2\n", "5\n6\n"), None),
+        (("2\n1\n", "0 1\n2x\n", "5\n6\n"), "x-simplices.txt:2: expected a node id"),
+        (("2\n1\n", "0 1\n2\n", "5\n\n"), "x-times.txt:1: 1 timestamps for 2"),
+        (("2\n1\n", "0 1\n\n", "5\n6\n"), "x-simplices.txt:1: member stream has 2 entries"),
+    ],
+    ids=["good", "bad-member", "short-times", "short-members"],
+)
+def test_simplex_reader_opens_each_file_once(tmp_path, texts, error):
+    paths = simplex_triple(tmp_path, *texts)
+    opened, real_open = [], io_mod._open_input
+
+    def counting_open(path):
+        opened.append(path)
+        return real_open(path)
+
+    with mock.patch.object(io_mod, "_open_input", counting_open):
+        if error is None:
+            read_simplex_format(*paths)
+        else:
+            with pytest.raises(FormatError, match=error):
+                read_simplex_format(*paths)
+    assert len(opened) == len(set(opened)) and set(opened) <= set(paths)
+
+
 # --- line format -----------------------------------------------------------
 
 

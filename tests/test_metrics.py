@@ -588,12 +588,14 @@ def test_singular_values_default_request_size():
     assert list(spectrum.values) == sorted(spectrum.values, reverse=True)
 
 
-def test_convergence_error_surfaces():
+def test_convergence_error_surfaces(monkeypatch):
     # A long path has a densely clustered spectrum; one restart cannot
     # resolve 50 values to near machine precision.
     G = graph_from_pairs([(i, i + 1) for i in range(1999)])
+    monkeypatch.setattr(metrics_mod, "_LANCZOS_TOL", 1e-14)
+    monkeypatch.setattr(metrics_mod, "_LANCZOS_ITERS_PER_ROW", 1 / G.num_nodes)
     with pytest.raises(ConvergenceError):
-        singular_values(G, m=50, rel_tol=1e-14, max_iter=1)
+        singular_values(G, m=50)
 
 
 def path_graph(n):

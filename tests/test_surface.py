@@ -90,7 +90,7 @@ PARAMETERS = {
     "read_simplex_format": ("nverts_path", "simplices_path", "times_path"),
     "read_weighted_graph": ("path",),
     "recover": ("graphs", "max_size"),
-    "singular_values": ("G", "m", "rel_tol", "max_iter"),
+    "singular_values": ("G", "m"),
     "subset_sampling": ("params", "p", "rule", "seed"),
     "write_decomposed_graph": ("G", "path"),
     "write_histogram_tsv": ("hist", "path"),
