@@ -11,16 +11,13 @@ alternative beats the exponential fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import count
 
 import numpy as np
 
 from .core import ValidationError
-
-# scipy.optimize is imported inside the truncated power-law fit, the only
-# code that needs it, so importing this module stays cheap.
 
 __all__ = [
     "FitError",
@@ -77,13 +74,7 @@ class TailVerdict:
     ratios: dict[str, float | None] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "heavy_tailed": self.heavy_tailed,
-            "lilliefors_rejected": self.lilliefors_rejected,
-            "lilliefors_stat": self.lilliefors_stat,
-            "lilliefors_critical": self.lilliefors_critical,
-            "ratios": dict(self.ratios),
-        }
+        return asdict(self)
 
 
 def _prepare(data, xmin: float | None) -> tuple[np.ndarray, float]:
@@ -175,57 +166,58 @@ def _tpl_log_normalizer(alpha: float, lam: float, xmin: float) -> float:
 
 
 def _fit_truncated_powerlaw(x: np.ndarray, xmin: float) -> FitResult:
-    from scipy.optimize import minimize
+    """Projected Newton on the NLL, convex in (alpha, lam). lam's derivatives
+    are moments, E[x^k] = Z(alpha - k) / Z(alpha); alpha's are central
+    differences. A coordinate on a bound whose gradient points out stays."""
+    logmean, mean = float(np.log(x).mean()), float(x.mean())
+    lo, hi = np.array([[_TPL_ALPHA_LO, _TPL_RATE_LO], [_TPL_ALPHA_HI, _TPL_RATE_HI]])
 
-    n = x.size
-    logsum = float(np.log(x).sum())
-    xsum = float(x.sum())
-
-    def neg_loglik(theta) -> float:
-        alpha, lam = float(theta[0]), float(theta[1])
-        if not (_TPL_ALPHA_LO <= alpha <= _TPL_ALPHA_HI):
-            return math.inf
-        if not (_TPL_RATE_LO <= lam <= _TPL_RATE_HI):
-            return math.inf
+    def log_z(alpha, lam):
         try:
-            log_z = _tpl_log_normalizer(alpha, lam, xmin)
+            return _tpl_log_normalizer(alpha, lam, xmin)
         except (FitError, ValueError, OverflowError):
             return math.inf
-        return (alpha * logsum + lam * xsum + n * log_z) / n
+
+    def nll(theta):
+        alpha, lam = map(float, theta)
+        return alpha * logmean + lam * mean + log_z(alpha, lam)
 
     alpha0 = min(max(_fit_powerlaw(x, xmin).params[0], 1.1), 10.0)
-    lam0 = min(max(1.0 / max(float(x.mean()), _TINY), _TPL_RATE_LO), 1.0)
-    best = None
-    for start in ((alpha0, lam0), (1.5, lam0), (2.5, lam0 * 0.1)):
-        res = minimize(
-            neg_loglik,
-            x0=np.array(start, dtype=np.float64),
-            method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-10},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    assert best is not None
-    if not math.isfinite(best.fun):
+    lam0 = min(max(1.0 / max(mean, _TINY), _TPL_RATE_LO), 1.0)
+    theta = np.array([alpha0, lam0])
+    if not math.isfinite(best := nll(theta)):
         raise FitError("truncated power law: no finite likelihood in the parameter box")
-    alpha, lam = float(best.x[0]), float(best.x[1])
-    return FitResult(
-        "truncated-powerlaw", (alpha, lam), float(-best.fun * n), xmin
-    )
+    for _ in range(100):
+        alpha, lam = map(float, theta)
+        (a0, a1, _), (b0, b1, b2), (c0, c1, _) = (
+            [log_z(alpha + h - k, lam) for k in (0, 1, 2)] for h in (-1e-4, 0, 1e-4)
+        )
+        m = math.exp(b1 - b0)
+        cross = (math.exp(a1 - a0) - math.exp(c1 - c0)) / 2e-4
+        var = m * m * math.expm1(b2 - 2 * b1 + b0)
+        grad = np.array([logmean + (c0 - a0) / 2e-4, mean - m])
+        hess = np.array([[(c0 - 2 * b0 + a0) / 1e-8, cross], [cross, var]])
+        free = ~((theta <= lo) & (grad > 0) | (theta >= hi) & (grad < 0))
+        step = -grad * free
+        sub = hess[np.ix_(free, free)]
+        if np.isfinite(sub).all() and (np.linalg.eigvalsh(sub) > 0).all():
+            step[free] = np.linalg.solve(sub, step[free])
+        for k in range(60):
+            if (value := nll(trial := np.clip(theta + step / 2**k, lo, hi))) < best:
+                break
+        else:
+            break
+        theta, best = trial, value
+    return FitResult("truncated-powerlaw", tuple(map(float, theta)), -best * x.size, xmin)
 
 
 def fit(data, family: str, xmin: float | None = None) -> FitResult:
     """Maximum-likelihood fit of one model family to the tail above xmin."""
     x, xmin = _prepare(data, xmin)
-    if family == "exponential":
-        return _fit_exponential(x, xmin)
-    if family == "powerlaw":
-        return _fit_powerlaw(x, xmin)
-    if family == "lognormal":
-        return _fit_lognormal(x, xmin)
-    if family == "truncated-powerlaw":
-        return _fit_truncated_powerlaw(x, xmin)
-    raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    fitters = (_fit_exponential, _fit_powerlaw, _fit_truncated_powerlaw, _fit_lognormal)
+    return fitters[FAMILIES.index(family)](x, xmin)
 
 
 def loglik_ratio(data, family: str, xmin: float | None = None) -> float:
@@ -241,10 +233,7 @@ def loglik_ratio(data, family: str, xmin: float | None = None) -> float:
 @lru_cache(maxsize=64)
 def _lilliefors_critical(n: int) -> float:
     rng = np.random.default_rng(LILLIEFORS_SEED)
-    stats = np.empty(LILLIEFORS_REPS, dtype=np.float64)
-    for i in range(LILLIEFORS_REPS):
-        z = rng.exponential(1.0, size=n)
-        stats[i] = _exp_dstat(z)
+    stats = [_exp_dstat(rng.exponential(1.0, size=n)) for _ in range(LILLIEFORS_REPS)]
     return float(np.quantile(stats, 1.0 - LILLIEFORS_SIGNIFICANCE))
 
 
@@ -310,10 +299,4 @@ def heavy_tail_verdict(data) -> TailVerdict:
         except FitError:
             ratios[family] = None
     heavy = rejected or any(r is not None and r > 0 for r in ratios.values())
-    return TailVerdict(
-        heavy_tailed=heavy,
-        lilliefors_rejected=rejected,
-        lilliefors_stat=stat,
-        lilliefors_critical=critical,
-        ratios=ratios,
-    )
+    return TailVerdict(heavy, rejected, stat, critical, ratios)

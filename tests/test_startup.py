@@ -2,9 +2,10 @@
 worker count never changes its output.
 
 Commands that only read, decompose, generate or recover must not pay for
-scipy; it loads on first use inside the metric and tail-fit functions. No
-command loads mpmath, which is a test-only oracle. Each check runs in a new
-interpreter, since this test process has long since imported scipy.
+scipy; it loads on first use inside the metric functions. No command loads
+scipy.optimize: the tail fits need none of it. No command loads mpmath,
+which is a test-only oracle. Each check runs in a new interpreter, since
+this test process has long since imported scipy.
 """
 
 import json
@@ -99,6 +100,7 @@ def test_cli_loads_scipy_only_when_analyzing_and_never_mpmath(tmp_path):
     # The probe can see an import: analyze pulls scipy in on first use.
     assert "scipy.sparse" in loaded["analyze"]
     assert not [m for modules in loaded.values() for m in modules if m.startswith("mpmath")]
+    assert not [m for modules in loaded.values() for m in modules if m.startswith("scipy.optimize")]
     assert sorted(read_line_format(str(back)).member_tuples()) == sorted(
         read_line_format(data).member_tuples()
     )
