@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,26 +189,51 @@ def _rows_increase(rows: np.ndarray) -> bool:
     return not np.any(tied & (rows[1:, -1] <= rows[:-1, -1]))
 
 
-def _adjacency(n: int, u: np.ndarray, v: np.ndarray):
-    """Symmetric n x n int8 CSR matrix with ones at (u, v) and (v, u)."""
-    from scipy.sparse import coo_matrix
+class _CSR(NamedTuple):
+    """Row i holds columns indices[indptr[i]:indptr[i + 1]], ascending, and
+    values data[...] there (None: ones)."""
 
-    data = np.ones(2 * len(u), dtype=np.int8)
-    return coo_matrix((data, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)).tocsr()
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray | None = None
+
+
+def _adjacency(n: int, u: np.ndarray, v: np.ndarray) -> _CSR:
+    """Symmetric n x n 0/1 adjacency with ones at distinct (u, v) and (v, u)."""
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    keys %= max(n, 1)
+    return _CSR(indptr, keys)
+
+
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's component: roots hook onto the
+    smallest root across their edges, then pointers jump to the roots
+    (Shiloach & Vishkin, J. Algorithms, 1982)."""
+    root = np.arange(n)
+    while u.size:
+        np.minimum.at(root, u, v)
+        np.minimum.at(root, v, u)
+        while not np.array_equal(up := root[root], root):
+            root = up
+        u, v = root[u], root[v]
+        keep = u != v
+        u, v = u[keep], v[keep]
+    return root
 
 
 class _Components(NamedTuple):
     """A graph's connected components as diagonal blocks of a permuted adjacency.
 
-    Component c (numbered as scipy's `connected_components` labels them)
-    holds positions bounds[c]:bounds[c + 1]; node i sits at position[i], in
-    node order within its component; `csr` is the adjacency with rows and
-    columns in position order, so it is block-diagonal.
+    Component c, numbered by smallest node, holds positions bounds[c]:
+    bounds[c + 1]; node i sits at position[i], in node order within its
+    component; `csr` is the adjacency in position order, block-diagonal.
     """
 
     position: np.ndarray
     bounds: np.ndarray
-    csr: Any
+    csr: _CSR
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,29 +281,23 @@ class DecomposedGraph:
         return int(self.edge_array.shape[0])
 
     @cached_property
-    def _csr(self):
-        """Symmetric 0/1 adjacency in CSR form (scipy)."""
-        u, v = self.edge_array.T
-        return _adjacency(self.num_nodes, u, v)
-
-    @cached_property
     def _components(self) -> _Components:
         """Connected components laid out as contiguous diagonal blocks."""
-        from scipy.sparse import csgraph
-
-        n = self.num_nodes
-        count, labels = csgraph.connected_components(self._csr, directed=False)
-        bounds = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(labels, minlength=count), out=bounds[1:])
-        if np.all(labels[1:] >= labels[:-1]):  # already in component order
-            return _Components(np.arange(n, dtype=np.int64), bounds, self._csr)
+        n, (u, v) = self.num_nodes, self.edge_array.T
+        root = _component_roots(n, u, v)
+        labels = (np.cumsum(root == np.arange(n)) - 1)[root]
         position = np.empty(n, dtype=np.int64)
-        position[np.argsort(labels, kind="stable")] = np.arange(n, dtype=np.int64)
-        u, v = self.edge_array.T
+        position[np.argsort(labels, kind="stable")] = np.arange(n)
+        bounds = np.append(0, np.cumsum(np.bincount(labels)))
         return _Components(position, bounds, _adjacency(n, position[u], position[v]))
 
     def adjacency_csr(self):
-        return self._csr
+        """The adjacency as a scipy.sparse int8 CSR matrix."""
+        from scipy.sparse import csr_matrix
+
+        n, (u, v) = self.num_nodes, self.edge_array.T
+        indptr, indices, _ = _adjacency(n, u, v)
+        return csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(n, n))
 
     def degrees(self) -> np.ndarray:
         """Distinct-neighbor count per node."""

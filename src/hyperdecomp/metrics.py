@@ -9,16 +9,10 @@ sampling is seed-driven.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DecomposedGraph, ValidationError, _Components, key_groups, rank_rows
-
-# scipy is imported inside the functions that need it, so importing this
-# module (and with it the CLI) stays cheap for commands that never measure.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .core import _CSR, DecomposedGraph, ValidationError, _Components, key_groups, rank_rows
 
 __all__ = [
     "MetricError",
@@ -40,6 +34,14 @@ GIANT_RATIO = 70.0
 # (2 GiB, i.e. at most 16,384 nodes); `recover` bounds the int64 members of
 # the hyperedges it expands by the same figure.
 DENSE_FALLBACK_MAX_BYTES = 2 * 1024**3
+
+# Spectrum blocks within this as dense float64 (q <= 1,448) are solved
+# densely for any m, in stacks within it: a block and eigvalsh's copy cost
+# about what loading scipy for Lanczos does.
+DENSE_BLOCK_BYTES = 16 * 1024**2
+
+# Bound on the intermediates of one chunk of the triangle count.
+_PAIR_CHUNK_BYTES = 16 * 1024**2
 
 # The effective diameter is this quantile of the pairwise distances.
 DIAMETER_QUANTILE = 0.9
@@ -113,17 +115,13 @@ else:
         return int(_POP_TABLE[words.view(np.uint8)].sum())
 
 
-def _block(csr, lo: int, hi: int):
+def _block(csr: _CSR, lo: int, hi: int) -> _CSR:
     """Rows and columns lo:hi of a block-diagonal CSR matrix, for lo and hi
     on block bounds, where that submatrix holds one contiguous slice of
     the nonzeros."""
-    from scipy.sparse import csr_matrix
-
     start, stop = csr.indptr[lo], csr.indptr[hi]
-    return csr_matrix(
-        (csr.data[start:stop], csr.indices[start:stop] - lo, csr.indptr[lo : hi + 1] - start),
-        shape=(hi - lo, hi - lo),
-    )
+    data = None if csr.data is None else csr.data[start:stop]
+    return _CSR(csr.indptr[lo : hi + 1] - start, csr.indices[start:stop] - lo, data)
 
 
 def _distance_histogram(comps: _Components, sources: np.ndarray) -> np.ndarray:
@@ -204,23 +202,81 @@ def effective_diameter(
     return float(d_star - 1 + (DIAMETER_QUANTILE - g_prev) / (g_cur - g_prev))
 
 
+# 2**64 over the golden ratio, as an int64: the multiplier of Fibonacci hashing.
+_FIB = -0x61C8864680B583EB
+
+
+def _slots(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Home slots of int64 keys in a table of 2**bits: the top bits of
+    keys * _FIB, modulo 2**64 (Knuth, TAOCP vol. 3, section 6.4)."""
+    h = keys * _FIB
+    h >>= 64 - bits
+    h &= (1 << bits) - 1
+    return h
+
+
+def _key_table(keys: np.ndarray) -> np.ndarray:
+    """Distinct non-negative keys in a linear-probing hash table at most half
+    full, -1 marking an empty slot."""
+    bits = int(2 * keys.size).bit_length()
+    table = np.full(1 << bits, -1, dtype=np.int64)
+    at = _slots(keys, bits)
+    while keys.size:  # each key takes the first free slot from its home on
+        free = table[at] < 0
+        table[at[free]] = keys[free]
+        left = table[at] != keys
+        keys, at = keys[left], (at[left] + 1) & (table.size - 1)
+    return table
+
+
+def _in_table(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key is in a `_key_table`."""
+    at = _slots(keys, table.size.bit_length() - 1)
+    seen = table[at]
+    hit = seen == keys
+    todo = np.flatnonzero(~hit & (seen >= 0))
+    while todo.size:  # probe on to the key or an empty slot
+        at[todo] = (at[todo] + 1) & (table.size - 1)
+        seen = table[at[todo]]
+        found = seen == keys[todo]
+        hit[todo[found]] = True
+        todo = todo[~found & (seen >= 0)]
+    return hit
+
+
 def _triangle_counts(G: DecomposedGraph) -> np.ndarray:
-    """Per-node triangle counts from one degree-oriented sparse product.
+    """Per-node triangle counts, each triangle found at its lowest corner.
 
-    `L` holds each edge once, from its lower-degree end to its higher-degree
-    end (ties keep u < v). Of a triangle's two corners other than x, exactly
-    one has an `L` edge to the other, so row x of (adj @ L) masked by adj
-    counts each triangle at x once. The orientation bounds the work: no
-    node has more than sqrt(2E) out-edges in `L`.
+    Edges point from the lower-degree end (ties: u), so no node has over
+    sqrt(2E) out-neighbours (Latapy, Theor. Comput. Sci., 2008); each pair
+    of them is looked up among the u * N + v edge keys, in a hash table.
+    Nodes of one out-degree go together, in chunks of four int64s per pair.
     """
-    from scipy.sparse import csr_matrix
-
     n, (u, v) = G.num_nodes, G.edge_array.T
     deg = G.degrees()
-    lo, hi = np.where(deg[u] > deg[v], (v, u), (u, v))
-    L = csr_matrix((np.ones(lo.size, dtype=np.int64), (lo, hi)), shape=(n, n))
-    adj = G.adjacency_csr().astype(np.int64)
-    return np.asarray((adj @ L).multiply(adj).sum(axis=1)).ravel()
+    flip = deg[u] > deg[v]
+    lo = np.where(flip, v, u)
+    outdeg = np.bincount(lo, minlength=n)
+    out = np.sort(lo * n + np.where(flip, u, v)) % n  # each out-list ascending
+    start = np.cumsum(outdeg) - outdeg
+    table = _key_table(u * n + v)
+    tri = np.zeros(n, dtype=np.int64)
+    step = _PAIR_CHUNK_BYTES // 32
+    for x in key_groups(outdeg):
+        d = int(outdeg[x[0]])
+        width = step // (d + 1) + 1
+        for a in range(0, d - 1, width):
+            i, j = np.add(np.triu_indices(min(width, d - 1 - a), 1, d - a), a)
+            rows = max(1, step // i.size)
+            for r in range(0, x.size, rows):
+                y = x[r : r + rows]
+                nb = out[start[y, None] + np.arange(d)]
+                pair = nb[:, i] * n
+                pair += nb[:, j]
+                hit = _in_table(table, pair.ravel()).reshape(pair.shape)
+                tri[y] += hit.sum(axis=1)
+                tri += np.bincount(np.concatenate(np.divmod(pair[hit], n)), minlength=n)
+    return tri
 
 
 def clustering_coefficient(G: DecomposedGraph) -> float:
@@ -258,17 +314,14 @@ def singular_values(G: DecomposedGraph, m: int | None = None) -> SingularSpectru
     For the symmetric adjacency these are eigenvalue magnitudes. True twins,
     nodes with the same closed neighbourhood N(v) | {v}, are folded first:
     a class C of them carries |C| - 1 eigenvalues exactly -1, and the rest
-    of the spectrum is that of the twin quotient (see `_twin_quotient`),
-    which has one node per class. The quotient is block-diagonal by
-    connected component, so its spectrum is the union of the components'
-    spectra, each counted with its own multiplicity: the top min(m, q) of
-    every q-class component are merged with the exact copies of 1.0. A
-    component with m <= q - 2 is solved by restarted Lanczos iteration;
-    one whose request covers essentially its whole spectrum (m > q - 2)
-    goes to a dense eigensolver, which the iterative machinery cannot
-    serve. That fallback raises MetricError instead of allocating a dense
-    q x q matrix above DENSE_FALLBACK_MAX_BYTES. `m` defaults to 500 and
-    is capped at the node count.
+    of the spectrum is that of the twin quotient (see `_twin_quotient`).
+    Its blocks, one per component, are solved separately, so each value
+    keeps its multiplicity: the top min(m, q) of every q-class block are
+    merged with the exact copies of 1.0. A block goes to a dense
+    eigensolver, exact and repeatable, when it fits in DENSE_BLOCK_BYTES or
+    m > q - 2, and to restarted Lanczos iteration otherwise; a dense block
+    above DENSE_FALLBACK_MAX_BYTES raises MetricError. `m` defaults to 500
+    and is capped at the node count.
     """
     n = G.num_nodes
     if m is None:
@@ -283,7 +336,7 @@ def singular_values(G: DecomposedGraph, m: int | None = None) -> SingularSpectru
 
     S, bounds = _twin_quotient(G._components)
     sizes = np.diff(bounds)
-    dense = sizes < m + 2
+    dense = (sizes < m + 2) | (8 * sizes**2 <= DENSE_BLOCK_BYTES)
     q = int(sizes[dense].max(initial=0))
     if q * q * 8 > DENSE_FALLBACK_MAX_BYTES:
         raise MetricError(
@@ -292,23 +345,20 @@ def singular_values(G: DecomposedGraph, m: int | None = None) -> SingularSpectru
             f"{DENSE_FALLBACK_MAX_BYTES}-byte limit; request m <= {q - 2}"
         )
     parts = _dense_magnitudes(S, bounds, np.flatnonzero(dense), m)
-    parts += [
-        _lanczos_magnitudes(_block(S, bounds[c], bounds[c + 1]).astype(np.float64), m)
-        for c in np.flatnonzero(~dense)
-    ]
-    parts.append(np.ones(min(n - S.shape[0], m)))  # the folded eigenvalues -1
+    parts += [_lanczos_magnitudes(_block(S, *bounds[c : c + 2]), m) for c in np.flatnonzero(~dense)]
+    parts.append(np.ones(min(n - bounds[-1], m)))  # the folded eigenvalues -1
     vals = np.sort(np.concatenate(parts))[::-1][:m]
     return SingularSpectrum(values=tuple(float(v) for v in vals), requested=m)
 
 
-def _twin_classes(csr) -> np.ndarray:
+def _twin_classes(csr: _CSR) -> np.ndarray:
     """The first position of each node's true-twin class.
 
     Twins have equal degrees, so the nodes of each degree d are ranked
     together by their sorted closed-neighbourhood rows of d + 1 entries.
     """
     degree = np.diff(csr.indptr)
-    first = np.arange(csr.shape[0])
+    first = np.arange(degree.size)
     for idx in key_groups(degree):
         d = int(degree[idx[0]])
         rows = np.empty((idx.size, d + 1), dtype=csr.indices.dtype)
@@ -320,7 +370,7 @@ def _twin_classes(csr) -> np.ndarray:
     return first
 
 
-def _twin_quotient(comps: _Components):
+def _twin_quotient(comps: _Components) -> tuple[_CSR, np.ndarray]:
     """The symmetric twin quotient S of a component-ordered adjacency, and
     the bounds of its diagonal blocks.
 
@@ -341,30 +391,29 @@ def _twin_quotient(comps: _Components):
     q = size.size
     # The row of a class's first member reaches its own class |C| - 1 times
     # and each adjacent class D |D| times.
-    rows = csr[np.flatnonzero(lead)]
-    cell = np.repeat(np.arange(q), np.diff(rows.indptr)) * q + label[rows.indices]
+    owner = np.repeat(np.arange(first.size), np.diff(csr.indptr))
+    at = lead[owner]
+    cell = label[owner[at]] * q + label[csr.indices[at]]
     cell, count = np.unique(cell, return_counts=True)
     row, col = np.divmod(cell, q)
     value = np.where(row == col, count, np.sqrt(size[row] * count))
-    from scipy.sparse import csr_matrix
-
     indptr = np.append(0, np.cumsum(np.bincount(row, minlength=q)))
-    return csr_matrix((value, col, indptr), shape=(q, q)), np.append(0, before)[comps.bounds]
+    return _CSR(indptr, col, value), np.append(0, before)[comps.bounds]
 
 
-def _dense_magnitudes(S, bounds: np.ndarray, dense: np.ndarray, m: int) -> list[np.ndarray]:
+def _dense_magnitudes(S: _CSR, bounds: np.ndarray, dense: np.ndarray, m: int) -> list[np.ndarray]:
     """Top min(m, q) eigenvalue magnitudes of the q-row diagonal blocks
     `dense` of the block-diagonal S.
 
     Blocks of one size are solved together: their entries are written
-    straight from S into (count, q, q) stacks of at most
-    DENSE_FALLBACK_MAX_BYTES, one batched eigvalsh each.
+    straight from S into (count, q, q) stacks within DENSE_BLOCK_BYTES (or
+    of one block), one batched eigvalsh each.
     """
     sizes = np.diff(bounds)
     dense = dense[np.argsort(sizes[dense], kind="stable")]
     slot = np.full(sizes.size, -1, dtype=np.int64)
     slot[dense] = np.arange(dense.size)
-    row = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    row = np.repeat(np.arange(bounds[-1]), np.diff(S.indptr))
     block = np.repeat(np.arange(sizes.size), sizes)[row]
     entry_slot = slot[block]
     mine = np.flatnonzero(entry_slot >= 0)
@@ -376,7 +425,7 @@ def _dense_magnitudes(S, bounds: np.ndarray, dense: np.ndarray, m: int) -> list[
     group_starts = np.flatnonzero(np.diff(sizes[dense], prepend=-1))
     for a, b in zip(group_starts, [*group_starts[1:], dense.size]):
         q = int(sizes[dense[a]])
-        per_stack = DENSE_FALLBACK_MAX_BYTES // (q * q * 8)
+        per_stack = max(1, DENSE_BLOCK_BYTES // (q * q * 8))
         for first in range(a, b, per_stack):
             last = min(first + per_stack, b)
             lo, hi = np.searchsorted(entry_slot, [first, last])
@@ -387,16 +436,17 @@ def _dense_magnitudes(S, bounds: np.ndarray, dense: np.ndarray, m: int) -> list[
     return out
 
 
-def _lanczos_magnitudes(block: sp.csr_matrix, m: int) -> np.ndarray:
+def _lanczos_magnitudes(block: _CSR, m: int) -> np.ndarray:
     """Top-m eigenvalue magnitudes of one component by restarted Lanczos."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    s = block.shape[0]
+    s = block.indptr.size - 1
     # Deterministic start vector keeps repeated runs identical.
     v0 = np.random.default_rng(0x5EED).standard_normal(s)
     try:
         eigs = eigsh(
-            block,
+            csr_matrix((block.data, block.indices, block.indptr), shape=(s, s)),
             k=m,
             which="LM",
             tol=_LANCZOS_TOL,

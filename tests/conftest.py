@@ -102,6 +102,25 @@ def random_hypergraph(
     return canonicalize(edges, n=n)
 
 
+@pytest.fixture
+def lanczos_blocks(monkeypatch):
+    """Sends spectrum blocks to Lanczos iteration whenever m <= q - 2, however
+    small they are, and lists the size of each block that iteration solves,
+    so that a test of the iterative path can check that it ran."""
+    from hyperdecomp import metrics
+
+    solved: list[int] = []
+    lanczos = metrics._lanczos_magnitudes
+
+    def spy(block, m):
+        solved.append(block.indptr.size - 1)
+        return lanczos(block, m)
+
+    monkeypatch.setattr(metrics, "DENSE_BLOCK_BYTES", 0)
+    monkeypatch.setattr(metrics, "_lanczos_magnitudes", spy)
+    return solved
+
+
 # --- acceptance criterion reporting ---------------------------------------
 # Tests marked @pytest.mark.acceptance(num=..., desc=...) get one summary
 # line each at the end of the run, whatever their outcome.

@@ -193,19 +193,24 @@ def test_criterion_08_statistical_calibration():
 
 
 @pytest.mark.acceptance(num=9, desc="iterative spectra match dense SVD; star closed forms")
-def test_criterion_09_singular_values():
+def test_criterion_09_singular_values(lanczos_blocks):
     start = time.perf_counter()
+    iterated = 0
     for seed in range(50):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 61))
         G = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
         m = int(rng.integers(1, max(2, G.num_nodes - 2)))
+        lanczos_blocks.clear()
         got = singular_values(G, m=m)
+        iterated += bool(lanczos_blocks)
         dense = np.linalg.svd(
             G.adjacency_csr().toarray().astype(float), compute_uv=False
         )
         tol = 1e-6 * max(1.0, float(dense[0]))
         assert np.all(np.abs(np.asarray(got.values) - dense[:m]) <= tol), f"seed {seed}"
+    # Only seed 27's twin quotient has no block with m <= q - 2.
+    assert iterated == 49
 
     for leaves in (3, 9, 20):
         star = canonicalize([[0, i] for i in range(1, leaves + 1)])

@@ -236,6 +236,44 @@ def twenty_k6_and_a_path():
     return graph_on(320, k6 + [(i, i + 1) for i in range(120, 319)])
 
 
+@st.composite
+def many_components(draw):
+    """Many small components, or a few long paths, under a random node
+    numbering, then isolated nodes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small = st.lists(st.integers(1, 4), min_size=1, max_size=300)
+    sizes = draw(st.one_of(small, st.lists(st.integers(50, 3000), min_size=1, max_size=3)))
+    pairs, n = [], 0
+    for s in sizes:
+        pairs += [(n + u, n + v) for u, v in component_pairs(rng, "path" if s > 4 else "random", s)]
+        n += s
+    label = rng.permutation(n)
+    return graph_on(n + draw(st.integers(0, 5)), [(label[u], label[v]) for u, v in pairs])
+
+
+def long_path(n):
+    """A path in node order: the first hooking round points each node at the
+    one before it, a chain that pointer jumping takes log2(n) rounds to flatten."""
+    return graph_on(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=st.one_of(shattered_graphs().map(lambda case: case[0]), many_components()))
+@example(G=long_path(5_000))
+@example(G=graph_on(12, [(0, 11)]))
+def test_components_match_csgraph(G):
+    count, labels = csgraph.connected_components(G.adjacency_csr(), directed=False)
+    comps = G._components
+    assert comps.bounds.tolist() == [0, *np.cumsum(np.bincount(labels, minlength=count))]
+    assert (np.searchsorted(comps.bounds, comps.position, side="right") - 1).tolist() == labels.tolist()
+    order = np.argsort(labels, kind="stable")
+    assert comps.position[order].tolist() == list(range(G.num_nodes))
+    want = G.adjacency_csr()[order][:, order]
+    want.sort_indices()
+    assert comps.csr.indptr.tolist() == want.indptr.tolist()
+    assert comps.csr.indices.tolist() == want.indices.tolist()
+
+
 def oracle_distance_counts(G, sources):
     dist = csgraph.shortest_path(G.adjacency_csr(), method="D", unweighted=True, indices=sources)
     return np.bincount(dist[np.isfinite(dist) & (dist > 0)].astype(np.int64), minlength=1)
@@ -323,20 +361,46 @@ def test_clustering_matches_brute_force():
         assert metrics_mod._triangle_counts(G).tolist() == oracle_triangles(G)
 
 
-def test_triangle_counts_match_networkx():
-    nx = pytest.importorskip("networkx")
+def product_triangles(G):
+    """Per-node triangle counts from the degree-oriented sparse product: row x
+    of (adj @ L), masked by adj, with L holding each edge once."""
+    from scipy.sparse import csr_matrix
+
+    n, (u, v) = G.num_nodes, G.edge_array.T
+    deg = G.degrees()
+    lo, hi = np.where(deg[u] > deg[v], (v, u), (u, v))
+    L = csr_matrix((np.ones(lo.size, dtype=np.int64), (lo, hi)), shape=(n, n))
+    adj = G.adjacency_csr().astype(np.int64)
+    return np.asarray((adj @ L).multiply(adj).sum(axis=1)).ravel().tolist()
+
+
+def sampled_graphs():
     params = GenParams(
         n=300, sizes={2: 0.4, 3: 0.3, 4: 0.2, 6: 0.1}, new_edges={0: 0.2, 1: 0.5, 3: 0.3}
     )
     H = hyperpa(params, seed=3)
-    sampled = [decompose(H, DecomposeConfig.for_level(k)) for k in (1, 2)]
-    for G in [*clustering_cases(), *sampled]:
+    return [decompose(H, DecomposeConfig.for_level(k)) for k in (1, 2)]
+
+
+def test_triangle_counts_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for G in [*clustering_cases(), *sampled_graphs()]:
         g = nx.Graph()
         g.add_nodes_from(range(G.num_nodes))
         g.add_edges_from(G.edge_array.tolist())
         expected = nx.triangles(g)
         counts = metrics_mod._triangle_counts(G).tolist()
         assert counts == [expected[v] for v in range(G.num_nodes)]
+        assert counts == product_triangles(G)
+
+
+# 32 bytes hold one pair: chunks of 3 and of 40 pairs split both the pairs
+# of one out-list and the out-lists of one length.
+@pytest.mark.parametrize("pairs", [3, 40])
+def test_triangle_counts_across_chunk_boundaries(monkeypatch, pairs):
+    monkeypatch.setattr(metrics_mod, "_PAIR_CHUNK_BYTES", pairs * 32)
+    for G in [*clustering_cases(), *sampled_graphs()]:
+        assert metrics_mod._triangle_counts(G).tolist() == product_triangles(G)
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,6 +418,20 @@ def test_triangle_counts_survive_relabelling(data, n):
     counts = metrics_mod._triangle_counts(G)
     assert counts.tolist() == oracle_triangles(G)
     assert metrics_mod._triangle_counts(R)[list(perm)].tolist() == counts.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 2**62), unique=True, max_size=300),
+    others=st.lists(st.integers(0, 2**62), max_size=100),
+)
+@example(keys=list(range(0, 64 * 1024, 64)), others=list(range(1, 200)))
+def test_key_table_finds_exactly_its_keys(keys, others):
+    table = metrics_mod._key_table(np.array(keys, dtype=np.int64))
+    assert table.size >= 2 * len(keys)
+    assert sorted(table[table >= 0].tolist()) == sorted(keys)
+    probe = np.array(keys + others, dtype=np.int64)
+    assert metrics_mod._in_table(table, probe).tolist() == np.isin(probe, keys).tolist()
 
 
 def test_clustering_counts_low_degree_nodes_in_mean():
@@ -381,12 +459,14 @@ def test_singular_values_closed_forms():
     assert singular_values(C4, m=4).values == pytest.approx((2.0, 2.0, 0.0, 0.0), abs=1e-9)
 
 
-def test_singular_values_iterative_matches_dense_svd():
+def test_singular_values_iterative_matches_dense_svd(lanczos_blocks):
     rng = np.random.default_rng(23)
     for _ in range(12):
         G = random_graph(rng, int(rng.integers(12, 60)), float(rng.uniform(0.1, 0.4)))
         m = max(1, min(G.num_nodes - 2, 25))
+        lanczos_blocks.clear()
         got = np.array(singular_values(G, m=m).values)
+        assert lanczos_blocks
         dense = np.linalg.svd(G.adjacency_csr().toarray().astype(float), compute_uv=False)
         want = dense[:m]
         scale = max(1.0, float(want[0]))
@@ -427,36 +507,14 @@ def twin_classes(G):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_connected_spectrum_is_the_whole_graph_solve(n, seed, data):
-    from scipy.sparse.linalg import eigsh
-
     G = graph_on(n, component_pairs(np.random.default_rng(seed), "random", n))
-    # Without twins the quotient is the adjacency itself, so the solve is
-    # exactly the one over the whole graph.
+    # Without twins the quotient is the adjacency itself, and a block of at
+    # most 60 rows is within the dense budget, so the solve is exactly the
+    # dense one over the whole graph.
     assume(len(oracle_twin_classes(G)) == n)
     m = data.draw(st.integers(1, n))
-    adj = G.adjacency_csr().astype(np.float64)
-
-    def solve():
-        if m > n - 2:
-            return np.linalg.eigvalsh(adj.toarray())
-        v0 = np.random.default_rng(0x5EED).standard_normal(n)
-        return eigsh(adj, k=m, which="LM", tol=1e-8, maxiter=n * 50, v0=v0,
-                     return_eigenvectors=False)
-
-    eigs = solve()
-    repeats = np.array_equal(eigs, solve())
-    got = singular_values(G, m=m).values
-    want = np.sort(np.abs(eigs))[::-1][:m]
-    if repeats:
-        assert got == tuple(want.tolist())
-    else:
-        # When its Krylov space runs out, ARPACK restarts from a vector drawn
-        # from a process-wide random state, so that solve is not a function
-        # of its inputs (a FOUND in CHANGES.md): on the 4-cycle 0-1-3-2 with
-        # leaves 4, 5 and 6 on node 0, m = 5 gives the zero eigenvalue as
-        # anything from 1e-35 to 1e-32. A reference that does not repeat
-        # itself is matched within criterion 9's 1e-6 * sigma_1.
-        assert np.all(np.abs(np.array(got) - want) <= 1e-6 * max(1.0, float(want[0])))
+    eigs = np.linalg.eigvalsh(G.adjacency_csr().toarray().astype(np.float64))
+    assert singular_values(G, m=m).values == tuple(np.sort(np.abs(eigs))[::-1][:m].tolist())
 
 
 def twenty_c6_and_a_path():
@@ -465,10 +523,12 @@ def twenty_c6_and_a_path():
 
 
 def test_dense_blocks_are_stacked_within_the_byte_limit(monkeypatch):
-    # Cycles and paths have no twins, so each 6-cycle is a 6 x 6 dense block.
+    # Cycles and paths have no twins, so each 6-cycle is a 6 x 6 dense block;
+    # both budgets leave the 200-node path to Lanczos iteration.
     G = twenty_c6_and_a_path()
+    monkeypatch.setattr(metrics_mod, "DENSE_BLOCK_BYTES", 20 * 6 * 6 * 8)
     whole = singular_values(G, m=50).values
-    monkeypatch.setattr(metrics_mod, "DENSE_FALLBACK_MAX_BYTES", 3 * 6 * 6 * 8)
+    monkeypatch.setattr(metrics_mod, "DENSE_BLOCK_BYTES", 3 * 6 * 6 * 8)
     assert singular_values(G, m=50).values == whole
     monkeypatch.setattr(metrics_mod, "DENSE_FALLBACK_MAX_BYTES", 6 * 6 * 8 - 1)
     with pytest.raises(MetricError, match="6-node component of the twin quotient needs 288 bytes"):
@@ -542,13 +602,14 @@ def test_spectrum_with_planted_twins_matches_dense_eigenvalues(case):
     assert np.all(np.abs(got - want) <= 1e-6 * max(1.0, float(want[0])))
 
 
-def test_lanczos_on_the_quotient_reaches_the_folded_ones():
+def test_lanczos_on_the_quotient_reaches_the_folded_ones(lanczos_blocks):
     # 60 classes, so m = 58 runs Lanczos; the 50 quotient values above 1
     # leave 8 of the 60 folded copies of 1.0 in the top 58.
     G = blown_up_path()
     S, bounds = metrics_mod._twin_quotient(G._components)
     assert bounds.tolist() == [0, 60]
     got = singular_values(G, m=58).values
+    assert lanczos_blocks == [60]
     assert got[-8:] == (1.0,) * 8 and got[-9] > 1.0 + 1e-3
     quotient = np.abs(1.0 + 4.0 * np.cos(np.pi * np.arange(1, 61) / 61))
     want = np.sort(np.concatenate([quotient, np.ones(60)]))[::-1][:58]
@@ -628,7 +689,8 @@ def test_dense_fallback_serves_many_small_components_of_a_large_graph():
     u, v = start + np.arange(6), start + (np.arange(6) + 1) % 6
     edges = np.sort(np.stack([u.ravel(), v.ravel()], axis=1), axis=1)
     G = DecomposedGraph(level=1, nodes=ids(16_386), edge_array=edges[np.lexsort(edges.T[::-1])])
-    assert metrics_mod._twin_quotient(G._components)[0].shape == (16_386, 16_386)
+    S, bounds = metrics_mod._twin_quotient(G._components)
+    assert S.indptr.size == bounds[-1] + 1 == 16_387
     spectrum = singular_values(G, m=G.num_nodes)
     assert spectrum.requested == 16_386
     # A 6-cycle's eigenvalues are 2 cos(pi j / 3): magnitudes 2, 2, 1, 1, 1, 1.
@@ -645,6 +707,7 @@ def test_dense_fallback_limit_is_inclusive(monkeypatch):
     with pytest.raises(MetricError, match=f"{need} bytes"):
         singular_values(G, m=6)
     # The iterative path allocates no dense matrix and is not limited.
+    monkeypatch.setattr(metrics_mod, "DENSE_BLOCK_BYTES", need - 1)
     assert len(singular_values(G, m=4).values) == 4
 
 
@@ -656,3 +719,54 @@ def test_dense_fallback_refuses_components_over_two_gib():
         singular_values(G, m=16_384)
     assert f"{s}-node component" in str(info.value)
     assert str(s * s * 8) in str(info.value)
+
+
+def k6s_on_a_hub_with_a_path():
+    """Twenty K6 whose vertex 0 is joined to hub 120, and a 200-node path
+    hung off the hub: 321 nodes in one component, 241 twin classes."""
+    k6 = [(6 * c + i, 6 * c + j) for c in range(20) for i in range(6) for j in range(i + 1, 6)]
+    spokes = [(6 * c, 120) for c in range(20)]
+    return graph_on(321, k6 + spokes + [(i, i + 1) for i in range(120, 320)])
+
+
+def four_cycle_with_leaves():
+    """The 4-cycle 0-1-3-2 with leaves 4, 5 and 6 on node 0."""
+    return graph_on(7, [(0, 1), (1, 3), (3, 2), (2, 0), (0, 4), (0, 5), (0, 6)])
+
+
+def test_repeated_eigenvalue_inside_one_component_keeps_its_copies():
+    G = k6s_on_a_hub_with_a_path()
+    got = np.array(singular_values(G, m=50).values)
+    want = np.sort(np.abs(np.linalg.eigvalsh(G.adjacency_csr().toarray().astype(float))))[::-1]
+    assert np.sum(np.abs(got - 5.0) <= 1e-9) == np.sum(np.abs(want - 5.0) <= 1e-9) == 19
+    assert np.all(np.abs(got - want[:50]) <= 1e-9 * want[0])
+
+
+def test_spectrum_is_a_function_of_its_input():
+    G = four_cycle_with_leaves()
+    assert len({singular_values(G, m=5).values for _ in range(20)}) == 1
+
+
+@pytest.mark.parametrize("leaves, dense", [(1_447, True), (1_448, False)])
+def test_blocks_within_the_dense_budget_skip_lanczos(monkeypatch, leaves, dense):
+    # A star has no twins, so its quotient block has leaves + 1 rows, and
+    # 8 * 1,448**2 bytes is the largest block within DENSE_BLOCK_BYTES.
+    assert 8 * 1_448**2 <= metrics_mod.DENSE_BLOCK_BYTES < 8 * 1_449**2
+    solved = {"dense": [], "lanczos": []}
+    dense_solve, lanczos_solve = metrics_mod._dense_magnitudes, metrics_mod._lanczos_magnitudes
+
+    def dense_spy(S, bounds, blocks, m):
+        solved["dense"] += np.diff(bounds)[blocks].tolist()
+        return dense_solve(S, bounds, blocks, m)
+
+    def lanczos_spy(block, m):
+        solved["lanczos"].append(block.indptr.size - 1)
+        return lanczos_solve(block, m)
+
+    monkeypatch.setattr(metrics_mod, "_dense_magnitudes", dense_spy)
+    monkeypatch.setattr(metrics_mod, "_lanczos_magnitudes", lanczos_spy)
+    G = graph_on(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    values = singular_values(G, m=3).values
+    assert values == pytest.approx((np.sqrt(leaves),) * 2 + (0.0,), abs=1e-9)
+    q = leaves + 1
+    assert solved == ({"dense": [q], "lanczos": []} if dense else {"dense": [], "lanczos": [q]})

@@ -1,11 +1,11 @@
 """Fresh-interpreter behaviour of the CLI: what it imports, and that the
 worker count never changes its output.
 
-Commands that only read, decompose, generate or recover must not pay for
-scipy; it loads on first use inside the metric functions. No command loads
-scipy.optimize: the tail fits need none of it. No command loads mpmath,
-which is a test-only oracle. Each check runs in a new interpreter, since
-this test process has long since imported scipy.
+No command loads scipy: the metrics and the tail fits run on numpy, and
+only the Lanczos solver for spectrum blocks above the dense budget and
+`DecomposedGraph.adjacency_csr` import it, on first use. No command loads
+mpmath, which is a test-only oracle. Each check runs in a new interpreter,
+since this test process has long since imported scipy.
 """
 
 import json
@@ -17,10 +17,12 @@ from pathlib import Path
 import numpy as np
 
 import hyperdecomp
-from hyperdecomp import read_line_format
+from hyperdecomp import DecomposeConfig, decompose, read_line_format, singular_values
+from hyperdecomp.io import write_spectrum_tsv
 
-# Runs CLI commands one after another in a single interpreter and prints,
-# per step, which scipy/mpmath modules are loaded once the step is done.
+# Runs CLI commands (or, for a string step, Python code) one after another
+# in a single interpreter and prints, per step, which scipy/mpmath modules
+# are loaded once the step is done.
 PROBE = r"""
 import json, sys
 
@@ -31,9 +33,10 @@ loaded = {}
 import hyperdecomp, hyperdecomp.cli as cli
 loaded["import"] = heavy()
 for name, argv in json.loads(sys.argv[1]):
-    code = cli.main(argv)
-    if code != 0:
-        raise SystemExit(f"{name} exited with {code}")
+    if isinstance(argv, str):
+        exec(argv)
+    elif cli.main(argv) != 0:
+        raise SystemExit(f"{name} failed")
     loaded[name] = heavy()
 print(json.dumps(loaded))
 """
@@ -71,7 +74,7 @@ def _probe(steps):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_cli_loads_scipy_only_when_analyzing_and_never_mpmath(tmp_path):
+def test_cli_loads_neither_scipy_nor_mpmath(tmp_path):
     data = _timestamped_input(tmp_path / "in.txt")
     steps = [
         ["decompose", ["decompose", data, "--level", "2", "--out", str(tmp_path / "l2.txt")]],
@@ -90,23 +93,30 @@ def test_cli_loads_scipy_only_when_analyzing_and_never_mpmath(tmp_path):
     steps.append(
         ["analyze", ["analyze", data, "--levels", "1", "--sv-count", "4", "--out", str(tmp_path / "rep")]]
     )
+    card = str(tmp_path / "card.json")
+    steps.append(
+        ["evaluate", ["evaluate", data, str(tmp_path / "gen-hyperpa.txt"), "--levels", "1,2", "--out", card]]
+    )
+    steps.append(["adjacency", (
+        "from hyperdecomp import DecomposeConfig, decompose, read_line_format\n"
+        f"decompose(read_line_format({data!r}), DecomposeConfig.for_level(1)).adjacency_csr()"
+    )])
 
     loaded = _probe(steps)
 
     assert list(loaded) == ["import"] + [name for name, _ in steps]
     for name, modules in loaded.items():
-        if name != "analyze":
+        if name != "adjacency":
             assert modules == [], f"{name} loaded {modules}"
-    # The probe can see an import: analyze pulls scipy in on first use.
-    assert "scipy.sparse" in loaded["analyze"]
-    assert not [m for modules in loaded.values() for m in modules if m.startswith("mpmath")]
-    assert not [m for modules in loaded.values() for m in modules if m.startswith("scipy.optimize")]
+    # The probe can see an import: adjacency_csr builds a scipy matrix.
+    assert "scipy.sparse" in loaded["adjacency"]
+    assert not [m for m in loaded["adjacency"] if m.startswith("mpmath")]
     assert sorted(read_line_format(str(back)).member_tuples()) == sorted(
         read_line_format(data).member_tuples()
     )
 
 
-def _analyze_outputs(data, out_dir, workers):
+def _analyze_outputs(data, out_dir, workers, sv_count=6):
     proc = subprocess.run(
         [
             sys.executable,
@@ -117,7 +127,7 @@ def _analyze_outputs(data, out_dir, workers):
             "--levels",
             "1,2,3",
             "--sv-count",
-            "6",
+            str(sv_count),
             "--out",
             str(out_dir),
         ],
@@ -143,6 +153,18 @@ def test_analyze_output_is_identical_for_any_worker_count(tmp_path):
     assert set(threaded) == expected
     for name in sorted(expected):
         assert threaded[name] == serial[name], name
+
+
+def test_spectrum_under_two_workers_is_the_in_process_one(tmp_path):
+    # The 4-cycle 0-1-3-2 with leaves 4, 5 and 6 on node 0: its 5 largest
+    # magnitudes cover all its distinct eigenvalues.
+    pairs = [(0, 1), (1, 3), (3, 2), (2, 0), (0, 4), (0, 5), (0, 6)]
+    data = tmp_path / "in.txt"
+    data.write_text("".join(f"{u} {v}\n" for u, v in pairs), encoding="utf-8")
+    threaded = _analyze_outputs(str(data), tmp_path / "w2", workers=2, sv_count=5)
+    G = decompose(read_line_format(str(data)), DecomposeConfig.for_level(1))
+    write_spectrum_tsv(singular_values(G, m=5).values, str(tmp_path / "here.tsv"))
+    assert threaded["level1-spectrum.tsv"] == (tmp_path / "here.tsv").read_bytes()
 
 
 def _collect_surface_tests(pythonpath):
