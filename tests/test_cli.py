@@ -15,7 +15,7 @@ import pytest
 
 import hyperdecomp
 import hyperdecomp.cli as cli
-from hyperdecomp import MetricError, read_line_format
+from hyperdecomp import MetricError, ValidationError, read_line_format
 
 SMALL = "0 1 2\n1 2 3\n3 4\n0 4\n2 4\n"
 
@@ -125,6 +125,28 @@ def test_analyze_failure_cleans_partial_outputs(small_input, tmp_path, monkeypat
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert list(out_dir.iterdir()) == []
+
+    # The tail verdicts run after every level's spectrum has been written;
+    # a failure there removes those files too.
+    monkeypatch.setattr(cli, "singular_values", real)
+    verdicts = []
+    real_verdict = cli.heavy_tail_verdict
+
+    def failing_last(degrees):
+        verdicts.append(sorted(p.name for p in out_dir.iterdir()))
+        if len(verdicts) == 2:
+            raise ValidationError("tail test unavailable")
+        return real_verdict(degrees)
+
+    monkeypatch.setattr(cli, "heavy_tail_verdict", failing_last)
+    code = run(
+        ["analyze", small_input, "--levels", "1,2", "--out", str(out_dir), "--sv-count", "4"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert len(verdicts) == 2
+    assert {"level1-spectrum.tsv", "level2-spectrum.tsv"} <= set(verdicts[-1])
     assert list(out_dir.iterdir()) == []
 
 

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hyperdecomp
 from hyperdecomp import DecomposeConfig, decompose, read_line_format, singular_values
@@ -114,6 +115,48 @@ def test_cli_loads_neither_scipy_nor_mpmath(tmp_path):
     assert sorted(read_line_format(str(back)).member_tuples()) == sorted(
         read_line_format(data).member_tuples()
     )
+
+
+# Runs one CLI command with `singular_values` wrapped where the CLI calls
+# it, and prints, per call, which of WATCHED are loaded at that moment.
+SCHEDULE_PROBE = r"""
+import json, sys
+import hyperdecomp.cli as cli
+
+WATCHED = ("numpy.random", "numpy.ma", "secrets", "hashlib", "concurrent.futures")
+seen, real = [], cli.singular_values
+
+def spectrum(G, m):
+    seen.append([name for name in WATCHED if name in sys.modules])
+    return real(G, m)
+
+cli.singular_values = spectrum
+if cli.main(json.loads(sys.argv[1])) != 0:
+    raise SystemExit("command failed")
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("workers, expected", [(1, []), (2, ["concurrent.futures"])])
+def test_every_spectrum_runs_before_the_tail_test_imports(tmp_path, workers, expected):
+    # The first degree-tail test loads numpy.random (and with it secrets and
+    # hashlib) and numpy.ma; analyze runs every level's spectrum before it,
+    # and imports the thread pool only for more than one worker.
+    data = _timestamped_input(tmp_path / "in.txt")
+    out_dir = tmp_path / "rep"
+    argv = ["analyze", data, "--levels", "1,2,3", "--sv-count", "4", "--out", str(out_dir)]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCHEDULE_PROBE, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=_env(HYPERDECOMP_WORKERS=str(workers)),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    assert json.loads(proc.stdout.splitlines()[-1]) == [expected] * 3
+    for k in (1, 2, 3):
+        report = json.loads((out_dir / f"level{k}.json").read_text())
+        assert report["edges"] > 0 and "degree_tail" in report, k
 
 
 def _analyze_outputs(data, out_dir, workers, sv_count=6):
