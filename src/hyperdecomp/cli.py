@@ -103,6 +103,12 @@ def _workers() -> int:
     return workers
 
 
+def _check_sv_count(args) -> None:
+    """Runs before any input is read: a level without edges never checks it."""
+    if args.sv_count < 1:
+        raise ValidationError(f"--sv-count must be at least 1, got {args.sv_count}")
+
+
 def cmd_decompose(args) -> int:
     if args.weighted and args.max_edge_size is not None:
         raise ValidationError("--max-edge-size does not apply to --weighted, which is uncapped")
@@ -159,6 +165,7 @@ def _report_level(measured: tuple[dict, object], args, write) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    _check_sv_count(args)
     workers = _workers()
     H = dedup(_load_hypergraph(args))
     levels = _parse_levels(args.levels)
@@ -249,6 +256,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_sv_count(args)
     real = dedup(hio.read_line_format(args.real))
     gen = dedup(hio.read_line_format(args.generated))
     card = evaluate(
@@ -271,7 +279,7 @@ def cmd_recover(args) -> int:
         if G.level in graphs:
             raise ValidationError(f"level {G.level} provided twice")
         graphs[G.level] = G
-    H = recover(graphs, max_size=args.max_size)
+    H = recover(graphs)
     with _outputs() as write:
         write(args.out, lambda p: hio.write_line_format(H, p))
     print(f"nodes={H.n} hyperedges={H.num_edges}")
@@ -333,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="rebuild hyperedges from weighted levels")
     p.add_argument("graphs", nargs="+", help="weighted decomposition files")
-    p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_recover)
 

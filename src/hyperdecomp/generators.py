@@ -172,7 +172,8 @@ class GroupDegreeIndex:
             raise ValidationError(
                 f"node id {max(members)} does not fit the index's uint32 rows"
             )
-        for j in range(1, min(len(members), self.cap) + 1):
+        self._rows[1].extend(members)
+        for j in range(2, min(len(members), self.cap) + 1):
             self._rows[j].extend(chain.from_iterable(combinations(members, j)))
 
     def count(self, size: int) -> int:
@@ -235,23 +236,13 @@ def _grow(
     return Hypergraph(n=first + params.n, offsets=offsets, members=members)
 
 
-def hyperpa_detailed(
-    params: GenParams,
-    seed: int = 0,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-) -> tuple[Hypergraph, RunStats]:
-    """Group-degree preferential attachment, with run statistics.
-
-    Each arriving node draws a hyperedge count and, per hyperedge, a size
-    s; the other s-1 members come from an existing group chosen with
-    probability proportional to its degree. When no group of the needed
-    size exists yet the members are picked uniformly at random; when s-1
-    exceeds the tracked group-size cap they are picked as independent
-    degree-proportional nodes. The index only absorbs a node's hyperedges
-    after all of them are drawn.
-    """
+def _attach(params: GenParams, seed: int, cap: int) -> tuple[Hypergraph, RunStats]:
+    """The attachment process of `hyperpa_detailed`, with groups of up to
+    `cap` nodes. A hyperedge that needs one partner, or more than `cap`,
+    draws them from the index's size-1 rows, its node-degree bag."""
     rng = random.Random(seed)
-    index = GroupDegreeIndex(subset_cap)
+    index = GroupDegreeIndex(cap)
+    nodes = index._rows[1]  # one id per (hyperedge, member): the node-degree bag
     fallback = capped = 0
 
     def choose(node: int, s: int) -> tuple[int, ...]:
@@ -259,11 +250,11 @@ def hyperpa_detailed(
         g_size = s - 1
         if g_size == 0:
             return (node,)
-        if g_size > subset_cap:
-            capped += 1
+        if g_size == 1 or g_size > cap:  # the seeds leave the bag nonempty
+            capped += g_size > cap
             chosen: set[int] = set()
             while len(chosen) < g_size:
-                chosen.add(index.sample(1, rng)[0])
+                chosen.add(nodes[rng.randrange(len(nodes))])
             group = tuple(chosen)
         elif index.count(g_size) == 0:
             fallback += 1
@@ -276,6 +267,22 @@ def hyperpa_detailed(
     return H, RunStats(fallback_draws=fallback, capped_draws=capped)
 
 
+def hyperpa_detailed(
+    params: GenParams, seed: int = 0, subset_cap: int = DEFAULT_SUBSET_CAP
+) -> tuple[Hypergraph, RunStats]:
+    """Group-degree preferential attachment, with run statistics.
+
+    Each arriving node draws a hyperedge count and, per hyperedge, a size
+    s; the other s-1 members come from an existing group chosen with
+    probability proportional to its degree. When no group of the needed
+    size exists yet the members are picked uniformly at random; when s-1
+    exceeds the tracked group-size cap they are picked as independent
+    degree-proportional nodes. The index only absorbs a node's hyperedges
+    after all of them are drawn.
+    """
+    return _attach(params, seed, subset_cap)
+
+
 def hyperpa(
     params: GenParams, seed: int = 0, subset_cap: int = DEFAULT_SUBSET_CAP
 ) -> Hypergraph:
@@ -283,22 +290,10 @@ def hyperpa(
 
 
 def naivepa(params: GenParams, seed: int = 0) -> Hypergraph:
-    """Node-degree preferential attachment.
-
-    Like the group-degree generator but the s-1 partners are independent
-    degree-proportional node draws, deduplicated by redrawing. Degrees
-    update only after each node's hyperedges are all drawn.
-    """
-    rng = random.Random(seed)
-    bag: list[int] = []
-
-    def choose(node: int, s: int) -> tuple[int, ...]:
-        chosen: set[int] = set()
-        while len(chosen) < s - 1:
-            chosen.add(bag[rng.randrange(len(bag))])
-        return tuple(sorted(chosen | {node}))
-
-    return _grow(params, rng, 2, params.max_size // 2, choose, bag.extend)
+    """Node-degree preferential attachment: group-degree attachment with
+    one-node groups, so the s-1 partners are independent degree-proportional
+    node draws, deduplicated by redrawing."""
+    return _attach(params, seed, 1)[0]
 
 
 @dataclass(frozen=True)

@@ -105,16 +105,6 @@ def degree_histogram(G: DecomposedGraph) -> dict[int, int]:
     return {int(d): int(c) for d, c in enumerate(counts) if c > 0}
 
 
-if hasattr(np, "bitwise_count"):
-    def _popcount_total(words: np.ndarray) -> int:
-        return int(np.bitwise_count(words).sum())
-else:
-    _POP_TABLE = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def _popcount_total(words: np.ndarray) -> int:
-        return int(_POP_TABLE[words.view(np.uint8)].sum())
-
-
 def _block(csr: _CSR, lo: int, hi: int) -> _CSR:
     """Rows and columns lo:hi of a block-diagonal CSR matrix, for lo and hi
     on block bounds, where that submatrix holds one contiguous slice of
@@ -156,7 +146,7 @@ def _distance_histogram(comps: _Components, sources: np.ndarray) -> np.ndarray:
             neigh = np.bitwise_or.reduceat(frontier[indices], offsets)
             neigh[empty_rows] = 0
             new = neigh & ~visited
-            reached = _popcount_total(new)
+            reached = int(np.bitwise_count(new).sum())
             if reached == 0:
                 break
             if d >= len(hist):

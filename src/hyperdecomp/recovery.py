@@ -98,17 +98,15 @@ def _expand(n: int, blocks: list[np.ndarray]) -> Hypergraph:
     return Hypergraph(n, np.append(0, np.cumsum(sizes, dtype=np.int64)), members)
 
 
-def recover(
-    graphs: Mapping[int, WeightedDecomposedGraph], max_size: int | None = None
-) -> Hypergraph:
+def recover(graphs: Mapping[int, WeightedDecomposedGraph]) -> Hypergraph:
     """Rebuild the hypergraph whose weighted decompositions are `graphs`.
 
-    `graphs` maps level k to the uncapped weighted decomposition at k;
-    levels 1 through max_size - 1 must be present. If max_size is omitted
-    it is taken as one more than the highest provided level. Inconsistent
-    inputs raise RecoveryError naming the level and offending edge or node,
-    and so do multiplicities whose hyperedges would need more than
-    DENSE_FALLBACK_MAX_BYTES of int64 members, before any is expanded.
+    `graphs` maps level k to the uncapped weighted decomposition at k, for
+    every k from 1 to the highest level given; hyperedges have at most one
+    node more than that level. Inconsistent inputs raise RecoveryError
+    naming the level and offending edge or node, and so do multiplicities
+    whose hyperedges would need more than DENSE_FALLBACK_MAX_BYTES of int64
+    members, before any is expanded.
     """
     if not graphs:
         raise ValidationError("no decomposed graphs provided")
@@ -117,11 +115,8 @@ def recover(
             raise ValidationError(
                 f"graph stored under level {level} reports level {G.base.level}"
             )
-    if max_size is None:
-        max_size = 1 + max(graphs)
-    if max_size < 2:
-        raise ValidationError("maximum hyperedge size must be at least 2")
-    missing = max_size - 1 - sum(k < max_size for k in graphs)
+    max_size = 1 + max(graphs)
+    missing = max_size - 1 - len(graphs)
     if missing:
         first = min(set(range(1, len(graphs) + 2)) - graphs.keys())
         raise ValidationError(

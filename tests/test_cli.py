@@ -160,6 +160,25 @@ def test_analyze_rejects_bad_worker_count(small_input, tmp_path, monkeypatch, ca
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text", ["0\n1\n2\n", "0 1\n1 2\n"])
+def test_analyze_rejects_sv_count_below_one_whatever_the_input(tmp_path, capsys, text):
+    # Level 1 of the singletons has no edge, so no spectrum would ever ask.
+    src = write(tmp_path / "in.txt", text)
+    out_dir = tmp_path / "reports"
+    assert run(["analyze", src, "--levels", "1", "--sv-count", "0", "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--sv-count" in err
+    assert not out_dir.exists()
+
+
+def test_evaluate_rejects_sv_count_below_one_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "absent.txt")
+    out = tmp_path / "card.json"
+    assert run(["evaluate", missing, missing, "--sv-count", "-1", "--out", str(out)]) == 1
+    assert "--sv-count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_hyperpa_manifest_and_determinism(tmp_path, capsys):
     data = write(
         tmp_path / "in.txt",

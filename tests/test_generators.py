@@ -3,12 +3,13 @@
 import hashlib
 import json
 import random
+from array import array
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdecomp import (
@@ -227,7 +228,18 @@ def test_hyperpa_index_updates_batched_per_node(monkeypatch):
     """All of a node's hyperedges are drawn before any enters the index."""
     events = []
 
+    class NodeRows(array):
+        """The size-1 rows, which unit draws index without `sample`."""
+
+        def __getitem__(self, i):
+            events.append(("sample", 1))
+            return super().__getitem__(i)
+
     class Recording(GroupDegreeIndex):
+        def __init__(self, cap):
+            super().__init__(cap)
+            self._rows[1] = NodeRows("I")
+
         def add_hyperedge(self, members):
             events.append(("add", tuple(members)))
             super().add_hyperedge(members)
@@ -240,7 +252,8 @@ def test_hyperpa_index_updates_batched_per_node(monkeypatch):
     params = GenParams(n=30, sizes={2: 0.6, 3: 0.4}, new_edges={2: 1.0})
     hyperpa(params, seed=1)
     # Within each arriving node the trace must be samples first, adds after;
-    # the seed edges produce leading adds.
+    # the seed edges produce leading adds. Both group sizes are drawn.
+    assert {size for kind, size in events if kind == "sample"} == {1, 2}
     trace = [kind for kind, _ in events]
     pos = 0
     while pos < len(trace) and trace[pos] == "add":
@@ -279,6 +292,85 @@ def test_naivepa_attachment_is_degree_biased():
     G = decompose(H, DecomposeConfig.for_level(1))
     deg = np.sort(G.degrees())
     assert deg[-1] >= 8 * max(1, int(np.median(deg)))
+
+
+# --- reference attachment --------------------------------------------------
+# Reference choosers: NaivePA over a bag of its own, and HyperPA over plain
+# lists of group tuples. The package must make exactly their draws. They
+# share the arrival process, `_grow`, with the package.
+
+
+def reference_naivepa(params, seed):
+    rng = random.Random(seed)
+    bag = []
+
+    def choose(node, s):
+        chosen = set()
+        while len(chosen) < s - 1:
+            chosen.add(bag[rng.randrange(len(bag))])
+        return tuple(sorted(chosen | {node}))
+
+    return gen_mod._grow(params, rng, 2, params.max_size // 2, choose, bag.extend)
+
+
+def reference_hyperpa(params, seed, cap):
+    rng = random.Random(seed)
+    groups = {j: [] for j in range(1, cap + 1)}
+    fallback = capped = 0
+
+    def absorb(members):
+        for j in range(1, min(len(members), cap) + 1):
+            groups[j].extend(combinations(members, j))
+
+    def choose(node, s):
+        nonlocal fallback, capped
+        g_size = s - 1
+        if g_size == 0:
+            return (node,)
+        if g_size > cap:
+            capped += 1
+            chosen = set()
+            while len(chosen) < g_size:
+                chosen.add(groups[1][rng.randrange(len(groups[1]))][0])
+            group = tuple(chosen)
+        elif not groups[g_size]:
+            fallback += 1
+            group = tuple(rng.sample(range(node), g_size))
+        else:
+            group = groups[g_size][rng.randrange(len(groups[g_size]))]
+        return tuple(sorted(group + (node,)))
+
+    H = gen_mod._grow(params, rng, 2, params.max_size // 2, choose, absorb)
+    return H, gen_mod.RunStats(fallback_draws=fallback, capped_draws=capped)
+
+
+def _law(draw, keys):
+    weights = {k: draw(st.integers(1, 5)) for k in sorted(keys)}
+    total = sum(weights.values())
+    return {k: w / total for k, w in weights.items()}
+
+
+@st.composite
+def attachment_params(draw):
+    # One size of at least 2, so that attachment has seed hyperedges.
+    sizes = draw(st.sets(st.integers(1, 12), max_size=4)) | {draw(st.integers(2, 12))}
+    arrivals = draw(st.sets(st.integers(0, 6), min_size=1, max_size=4))
+    return GenParams(
+        n=draw(st.integers(1, 60)), sizes=_law(draw, sizes), new_edges=_law(draw, arrivals)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=attachment_params(), seed=st.integers(0, 2**32), cap=st.integers(1, 6))
+@example(params=GenParams(n=40, sizes={1: 0.2, 2: 0.3, 7: 0.5}, new_edges={2: 1.0}),
+         seed=0, cap=3)
+def test_attachment_engine_matches_the_reference_choosers(params, seed, cap):
+    H = naivepa(params, seed=seed)
+    R = reference_naivepa(params, seed)
+    assert (H.n, H.member_tuples()) == (R.n, R.member_tuples())
+    H, stats = hyperpa_detailed(params, seed=seed, subset_cap=cap)
+    R, want = reference_hyperpa(params, seed, cap)
+    assert (H.n, H.member_tuples(), stats) == (R.n, R.member_tuples(), want)
 
 
 # --- subset sampling -------------------------------------------------------

@@ -23,17 +23,16 @@ from hyperdecomp.recovery import _subtract
 from conftest import random_hypergraph
 
 
-def stack(H, max_size=None):
-    m = max_size if max_size is not None else max(2, H.max_edge_size())
-    return {k: decompose_weighted(H, k) for k in range(1, m)}
+def stack(H):
+    return {k: decompose_weighted(H, k) for k in range(1, max(2, H.max_edge_size()))}
 
 
 def edge_multiset(H):
     return Counter(H.member_tuples())
 
 
-def assert_recovered(H, max_size=None):
-    R = recover(stack(H, max_size))
+def assert_recovered(H):
+    R = recover(stack(H))
     assert R.n == 1 + max(v for e in H.member_tuples() for v in e)
     assert edge_multiset(R) == edge_multiset(H)
 
@@ -91,36 +90,20 @@ def test_output_order_is_size_descending_then_lexicographic():
     ]
 
 
-def test_max_size_argument_checks_coverage():
-    H = canonicalize([[0, 1, 2, 3]])
-    graphs = stack(H)
-    assert recover(graphs, max_size=4).member_tuples() == H.member_tuples()
-    with pytest.raises(ValidationError):
-        recover(graphs, max_size=5)  # level 4 not supplied
-    with pytest.raises(ValidationError):
-        recover(graphs, max_size=1)
-
-
 def test_missing_level_is_reported(tmp_path):
     H = canonicalize([[0, 1, 2, 3], [0, 1]])
     graphs = stack(H)
     del graphs[2]
     with pytest.raises(ValidationError) as exc:
-        recover(graphs, max_size=4)
+        recover(graphs)
     assert "2" in str(exc.value)
-    # Far-off levels are counted, not listed: an empty file at a high level,
-    # and a maximum size far above the one level given.
+    # Far-off levels are counted, not listed: an empty file at a high level.
     path = tmp_path / "empty.txt"
     path.write_text("# level=1000000\n")
-    cases = [
-        ({10**6: read_weighted_graph(str(path))}, None, "999999 of", "first 1"),
-        ({1: graphs[1]}, 30_000_000, "29999998 of", "first 2"),
-    ]
-    for given_graphs, max_size, count, first in cases:
-        with pytest.raises(ValidationError) as exc:
-            recover(given_graphs, max_size=max_size)
-        message = str(exc.value)
-        assert count in message and first in message and len(message) < 100
+    with pytest.raises(ValidationError) as exc:
+        recover({10**6: read_weighted_graph(str(path))})
+    message = str(exc.value)
+    assert "999999 of" in message and "first 1" in message and len(message) < 100
 
 
 def test_mislabeled_level_is_rejected():
@@ -178,6 +161,12 @@ def test_isolated_node_without_hyperedge_is_detected():
     trimmed = DecomposedGraph(level=3, nodes=base.nodes[:-1], edge_array=base.edge_array)
     graphs[3] = WeightedDecomposedGraph(base=trimmed, weights=graphs[3].weights)
     with pytest.raises(RecoveryError, match=r"\(4, 5, 6\) is missing"):
+        recover(graphs)
+    # A top level whose one node no hyperedge accounts for: the size bound
+    # comes from the highest level given, so that level is checked too.
+    graphs = {**stack(canonicalize([[0, 1, 2], [1, 2]])),
+              3: decompose_weighted(canonicalize([[5, 6, 7]]), 3)}
+    with pytest.raises(RecoveryError, match=r"level 3: node \(5, 6, 7\) lies on no edge"):
         recover(graphs)
 
 

@@ -89,7 +89,7 @@ PARAMETERS = {
     "read_report": ("path",),
     "read_simplex_format": ("nverts_path", "simplices_path", "times_path"),
     "read_weighted_graph": ("path",),
-    "recover": ("graphs", "max_size"),
+    "recover": ("graphs",),
     "singular_values": ("G", "m"),
     "subset_sampling": ("params", "p", "rule", "seed"),
     "write_decomposed_graph": ("G", "path"),
