@@ -103,10 +103,13 @@ def _workers() -> int:
     return workers
 
 
-def _check_sv_count(args) -> None:
-    """Runs before any input is read: a level without edges never checks it."""
-    if args.sv_count < 1:
-        raise ValidationError(f"--sv-count must be at least 1, got {args.sv_count}")
+def _check_at_least(args, **lowest: int) -> None:
+    """Runs before any input is read, as not every input reaches a setting: a
+    level without edges never uses --sv-count, nor a small one --seed."""
+    for name, low in lowest.items():
+        if getattr(args, name) < low:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be at least {low}, got {getattr(args, name)}")
 
 
 def cmd_decompose(args) -> int:
@@ -165,7 +168,7 @@ def _report_level(measured: tuple[dict, object], args, write) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    _check_sv_count(args)
+    _check_at_least(args, seed=0, sv_count=1)
     workers = _workers()
     H = dedup(_load_hypergraph(args))
     levels = _parse_levels(args.levels)
@@ -216,6 +219,7 @@ def _load_params(args, H: Hypergraph | None) -> GenParams:
 
 
 def cmd_generate(args) -> int:
+    _check_at_least(args, seed=0)
     H = None
     if args.input is not None or args.simplex:
         H = _load_hypergraph(args)
@@ -256,7 +260,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_sv_count(args)
+    _check_at_least(args, seed=0, sv_count=1)
     real = dedup(hio.read_line_format(args.real))
     gen = dedup(hio.read_line_format(args.generated))
     card = evaluate(

@@ -144,13 +144,33 @@ def key_groups(keys: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1) if order.size else []
 
 
-def pack_rows(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets and flat members of a list of integer rows, as int64 arrays."""
+class FlatRows(NamedTuple):
+    """Integer rows stored flat, row i being members[offsets[i]:offsets[i + 1]]:
+    int64 arrays, which `canonicalize` takes without a pass per row, sorting
+    each row of `members` in place."""
+
+    offsets: np.ndarray
+    members: np.ndarray
+
+
+def pack_rows(rows: Sequence[Sequence[int]]) -> FlatRows:
+    """A list of integer rows, stored flat."""
     offsets = np.append(0, np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows))))
     try:
-        return offsets, np.fromiter(chain.from_iterable(rows), np.int64, int(offsets[-1]))
+        members = np.fromiter(chain.from_iterable(rows), np.int64, int(offsets[-1]))
     except (TypeError, OverflowError):
         raise ValidationError("ids and timestamps must be integers in the int64 range") from None
+    return FlatRows(offsets, members)
+
+
+def first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a 1-D array in order of first appearance, and
+    the index among them of each value."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[inverse]
 
 
 def _first_copies(H: Hypergraph) -> np.ndarray:
@@ -196,6 +216,11 @@ class _CSR(NamedTuple):
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray | None = None
+
+
+# Pairs of nodes (u, v) of an N-node graph are keyed u * N + v throughout; this
+# is the largest N for which every such key, up to N**2 - 1, fits in an int64.
+MAX_NODES = 3_037_000_499
 
 
 def _adjacency(n: int, u: np.ndarray, v: np.ndarray) -> _CSR:
@@ -340,15 +365,6 @@ class WeightedDecomposedGraph:
         return self.base.level
 
 
-@dataclass(frozen=True)
-class FlatRows:
-    """Integer rows stored flat, row i being members[offsets[i]:offsets[i + 1]]:
-    int64 arrays that `canonicalize` takes as they are, without a pass per row."""
-
-    offsets: np.ndarray
-    members: np.ndarray
-
-
 def canonicalize(
     raw_edges: Iterable[Sequence[int]] | FlatRows,
     n: int | None = None,
@@ -361,12 +377,8 @@ def canonicalize(
     timestamps outside int64 are rejected. Repeated hyperedges are kept;
     `dedup` drops them.
     """
-    if isinstance(raw_edges, FlatRows):
-        offsets, flat = raw_edges.offsets, raw_edges.members
-    else:
-        offsets, flat = pack_rows(list(raw_edges))
+    offsets, flat = raw_edges if isinstance(raw_edges, FlatRows) else pack_rows(list(raw_edges))
     sizes = np.diff(offsets)
-    flat = flat.copy()
     # Members are sorted within each hyperedge, a block of equal sizes at a time.
     for idx in key_groups(sizes):
         at = offsets[idx, None] + np.arange(sizes[idx[0]])

@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
+    MAX_NODES,
     DecomposedGraph,
     Hypergraph,
     ValidationError,
@@ -26,10 +27,6 @@ __all__ = ["DecomposeConfig", "decompose", "decompose_weighted"]
 
 NODE_LEVEL_CAP = 25
 HIGHER_LEVEL_CAP = 7
-
-# Pair keys pack two subset indices as (lo << 32) | hi in an int64, so the
-# subset index must stay below 2**31 for lo to keep clear of the sign bit.
-MAX_PACKED_SUBSETS = 2**31
 
 
 def default_max_edge_size(level: int) -> int:
@@ -59,8 +56,8 @@ class DecomposeConfig:
         return cls(level=level, max_edge_size=max_edge_size)
 
 
-def _pair_keys(ids: np.ndarray, shapes: list[tuple[int, int]]) -> np.ndarray:
-    """Unsorted (lo << 32) | hi keys of every subset pair within a hyperedge.
+def _pair_keys(ids: np.ndarray, shapes: list[tuple[int, int]], n: int) -> np.ndarray:
+    """Unsorted lo * n + hi keys of every subset pair within a hyperedge.
 
     `ids` holds each size block's (m, c) subset ids row by row. A
     hyperedge's subsets are in lexicographic order, so ids increase along a
@@ -74,8 +71,8 @@ def _pair_keys(ids: np.ndarray, shapes: list[tuple[int, int]]) -> np.ndarray:
         col = 0
         for u in range(c - 1):
             width = c - 1 - u
-            lo = row_ids[:, u, None] << 32
-            np.bitwise_or(lo, row_ids[:, u + 1 :], out=out[:, col : col + width])
+            lo = row_ids[:, u, None] * n
+            np.add(lo, row_ids[:, u + 1 :], out=out[:, col : col + width])
             col += width
         start, pos = start + m * c, pos + out.size
     return keys
@@ -100,13 +97,13 @@ def _collect(
 
     nodes, ids = rank_rows(flat)[:2]  # an id is the subset's lexicographic rank
     del flat
-    if len(nodes) >= MAX_PACKED_SUBSETS:
+    n = len(nodes)
+    if n > MAX_NODES:
         raise ValidationError(
-            f"level {k}: {len(nodes)} distinct subsets reach the pair-key "
-            f"packing limit of {MAX_PACKED_SUBSETS}"
+            f"level {k}: {n} distinct subsets exceed the pair-key packing limit of {MAX_NODES}"
         )
 
-    keys = _pair_keys(ids, shapes)
+    keys = _pair_keys(ids, shapes, n)
     del ids
     keys.sort()
     first = np.ones(len(keys), dtype=bool)
@@ -114,8 +111,7 @@ def _collect(
     counts = np.diff(np.flatnonzero(first), append=len(keys)) if with_counts else None
     keys = keys[first]
     edge_array = np.empty((len(keys), 2), dtype=np.int64)
-    np.right_shift(keys, 32, out=edge_array[:, 0])
-    np.bitwise_and(keys, 0xFFFFFFFF, out=edge_array[:, 1])
+    np.divmod(keys, n, out=(edge_array[:, 0], edge_array[:, 1]))
     return DecomposedGraph(level=k, nodes=nodes, edge_array=edge_array), counts
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import DecomposedGraph, Hypergraph, ValidationError, pack_rows
+from .core import DecomposedGraph, Hypergraph, ValidationError, first_appearance, pack_rows
 from .decompose import DecomposeConfig, decompose
 from .metrics import (
     ComponentReport,
@@ -63,9 +63,7 @@ class _DistSampler:
             total += w
         if abs(total - 1.0) > 1e-6:
             raise ValidationError(f"{name}: weights sum to {total}, expected 1")
-        items = sorted((k, w) for k, w in dist.items() if w > 0)
-        if not items:
-            raise ValidationError(f"{name}: no positive-weight value")
+        items = sorted((k, w) for k, w in dist.items() if w > 0)  # nonempty: the sum is near 1
         self.values = [k for k, _ in items]
         self.cum = list(accumulate(w / total for _, w in items))
         self.cum[-1] = 1.0
@@ -134,11 +132,10 @@ def learn_params(H: Hypergraph) -> GenParams:
         raise ValidationError("parameter learning needs a timestamp on every hyperedge")
     sizes = np.diff(H.offsets)
     # Members in arrival order: hyperedges by timestamp (stable), each in id order.
-    seen = H.members[np.argsort(np.repeat(H.timestamps, sizes), kind="stable")]
-    nodes, first = np.unique(seen, return_index=True)
-    new_id = np.empty(H.n, dtype=np.int64)
-    new_id[nodes[np.argsort(first)]] = np.arange(len(nodes))
-    arrivals = np.bincount(np.maximum.reduceat(new_id[H.members], H.offsets[:-1]), minlength=H.n)
+    order = np.argsort(np.repeat(H.timestamps, sizes), kind="stable")
+    new_ids = np.empty(len(H.members), dtype=np.int64)  # each member's new id, in place
+    new_ids[order] = first_appearance(H.members[order])[1]
+    arrivals = np.bincount(np.maximum.reduceat(new_ids, H.offsets[:-1]), minlength=H.n)
     m = H.num_edges
     size_counts, per_node = np.bincount(sizes), np.bincount(arrivals)
     return GenParams(
@@ -173,8 +170,9 @@ class GroupDegreeIndex:
                 f"node id {max(members)} does not fit the index's uint32 rows"
             )
         self._rows[1].extend(members)
-        for j in range(2, min(len(members), self.cap) + 1):
-            self._rows[j].extend(chain.from_iterable(combinations(members, j)))
+        if self.cap > 1:  # at cap 1, setting up the range costs more than the extend
+            for j in range(2, min(len(members), self.cap) + 1):
+                self._rows[j].extend(chain.from_iterable(combinations(members, j)))
 
     def count(self, size: int) -> int:
         """Total degree mass held by groups of the given size."""
@@ -241,6 +239,7 @@ def _attach(params: GenParams, seed: int, cap: int) -> tuple[Hypergraph, RunStat
     `cap` nodes. A hyperedge that needs one partner, or more than `cap`,
     draws them from the index's size-1 rows, its node-degree bag."""
     rng = random.Random(seed)
+    cap = min(cap, max(params.max_size - 1, 1))  # no larger group is ever drawn
     index = GroupDegreeIndex(cap)
     nodes = index._rows[1]  # one id per (hyperedge, member): the node-degree bag
     fallback = capped = 0

@@ -23,6 +23,7 @@ from .core import (
     ValidationError,
     WeightedDecomposedGraph,
     canonicalize,
+    first_appearance,
     rank_rows,
 )
 
@@ -127,14 +128,10 @@ def read_simplex_format(
             f"member stream has {len(members)} entries, sizes sum to {total}",
         )
 
-    # Dense ids follow the first appearance of each original id.
-    ids, first, inverse = np.unique(members, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    id_map = dict(zip(ids[order].tolist(), range(len(ids))))
+    ids, dense = first_appearance(members)
+    id_map = dict(zip(ids.tolist(), range(len(ids))))
     offsets = np.append(0, np.cumsum(sizes))
-    return canonicalize(FlatRows(offsets, rank[inverse]), timestamps=times), id_map
+    return canonicalize(FlatRows(offsets, dense), timestamps=times), id_map
 
 
 def read_line_format(path: str, n: int | None = None) -> Hypergraph:
@@ -191,9 +188,7 @@ def write_line_format(H: Hypergraph, path: str) -> None:
 def _parse_subset(tok: str, path: str, lineno: int) -> KSubset:
     try:
         parts = tuple(int(p) for p in tok.split("-"))
-    except ValueError:
-        raise FormatError(path, lineno, f"bad subset token {tok!r}")
-    if not parts or any(p < 0 for p in parts):
+    except ValueError:  # "-" separates ids, so none can carry a sign
         raise FormatError(path, lineno, f"bad subset token {tok!r}")
     if tuple(sorted(set(parts))) != parts:
         raise FormatError(path, lineno, f"subset {tok!r} is not sorted and distinct")
@@ -312,12 +307,13 @@ def read_weighted_graph(path: str) -> WeightedDecomposedGraph:
         pair = tuple(nodes[u[i]].tolist())
         raise FormatError(path, int(lines[i]), f"self pair {pair} listed as an edge")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((lines, hi, lo))
-    lo, hi, lines = lo[order], hi[order], lines[order]
-    repeat = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+    keys = lo * len(nodes) + hi
+    order = np.argsort(keys, kind="stable")  # lines rise, so a repeat follows its first line
+    keys, lines = keys[order], lines[order]
+    repeat = np.flatnonzero(keys[1:] == keys[:-1])
     if repeat.size:
         raise FormatError(path, int(lines[repeat + 1].min()), "duplicate edge listed")
-    edge_array = np.stack([lo, hi], axis=1)
+    edge_array = np.stack([lo[order], hi[order]], axis=1)
     w_arr = table[order, 2]
     base = DecomposedGraph(level=level, nodes=nodes, edge_array=edge_array)
     self_loops: dict[int, int] = {}

@@ -169,8 +169,11 @@ def effective_diameter(
     pairs (self-pairs excluded) at distance <= d, returns
     d* - 1 + (q - g(d* - 1)) / (g(d*) - g(d* - 1)) where d* is the smallest
     integer with g(d*) >= q and g(0) = 0. Graphs above `exact_threshold`
-    nodes are estimated from `num_sources` sampled BFS sources.
+    nodes are estimated from `num_sources` sampled BFS sources, drawn from a
+    non-negative `seed`.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     n = G.num_nodes
     if n == 0 or G.num_edges == 0:
         raise MetricError("effective diameter undefined: no connected pairs")

@@ -179,6 +179,66 @@ def test_evaluate_rejects_sv_count_below_one_before_reading(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("present", [True, False])
+@pytest.mark.parametrize("command", ["analyze", "evaluate", "generate"])
+def test_negative_seed_is_refused_before_any_input_is_read(tmp_path, capsys, command, present):
+    # generate, and analyze on levels within the exact-BFS threshold, used to
+    # run with it; a level above the threshold failed inside numpy.
+    src = write(tmp_path / "in.txt", SMALL) if present else str(tmp_path / "absent.txt")
+    out = tmp_path / "out"
+    argv = {
+        "analyze": ["analyze", src, "--levels", "1"],
+        "evaluate": ["evaluate", src, src],
+        "generate": ["generate", src, "--model", "null"],
+    }[command]
+    assert run([*argv, "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", ["x", ",", "1,x"])
+def test_analyze_rejects_a_bad_level_list(small_input, tmp_path, capsys, levels):
+    out_dir = tmp_path / "reports"
+    assert run(["analyze", small_input, "--levels", levels, "--out", str(out_dir)]) == 1
+    assert "level" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_analyze_records_a_degree_tail_it_cannot_test(tmp_path):
+    # One edge: two positive degrees, too few for the Lilliefors test.
+    src = write(tmp_path / "in.txt", "0 1\n")
+    out_dir = tmp_path / "reports"
+    assert run(["analyze", src, "--levels", "1", "--sv-count", "2", "--out", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "level1.json").read_text())
+    assert "degree_tail" not in summary
+    assert "at least 5" in summary["degree_tail_error"]
+
+
+@pytest.mark.parametrize(
+    "model, expected",
+    [("hyperpa", "--params is required"), ("null", "needs input data")],
+)
+def test_generate_without_input_or_params_fails_cleanly(tmp_path, capsys, model, expected):
+    out = tmp_path / "gen.txt"
+    assert run(["generate", "--model", model, "--out", str(out)]) == 1
+    assert expected in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_writer_leaves_no_temp_file_and_removes_earlier_outputs(tmp_path):
+    def fail(path):
+        Path(path).write_text("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        with cli._outputs() as write_out:
+            write_out(str(tmp_path / "a.txt"), lambda p: Path(p).write_text("done"))
+            assert (tmp_path / "a.txt").read_text() == "done"
+            write_out(str(tmp_path / "b.txt"), fail)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_hyperpa_manifest_and_determinism(tmp_path, capsys):
     data = write(
         tmp_path / "in.txt",

@@ -269,10 +269,10 @@ def test_empty_and_degenerate_inputs():
 def test_subset_index_limit_raises_before_packing_overflows(monkeypatch):
     # Four level-1 subsets; the limit is lowered so the guard is reachable.
     H = canonicalize([[0, 1, 2, 3]])
-    monkeypatch.setattr(decompose_mod, "MAX_PACKED_SUBSETS", 5)
+    monkeypatch.setattr(decompose_mod, "MAX_NODES", 4)
     assert decompose(H, DecomposeConfig.for_level(1)).num_nodes == 4
     assert decompose_weighted(H, 1).base.num_nodes == 4
-    monkeypatch.setattr(decompose_mod, "MAX_PACKED_SUBSETS", 4)
+    monkeypatch.setattr(decompose_mod, "MAX_NODES", 3)
     with pytest.raises(ValidationError, match="packing limit"):
         decompose(H, DecomposeConfig.for_level(1))
     with pytest.raises(ValidationError, match="packing limit"):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 from itertools import combinations
@@ -118,6 +119,8 @@ def test_learn_params_preconditions():
         learn_params(canonicalize([[0, 1]], timestamps=[0]))  # not deduplicated
     with pytest.raises(ValidationError):
         learn_params(dedup(canonicalize([[0, 1]])))  # no timestamps
+    with pytest.raises(ValidationError, match="empty"):
+        learn_params(dedup(canonicalize([], timestamps=[])))
 
 
 # --- group-degree index ----------------------------------------------------
@@ -361,9 +364,11 @@ def attachment_params(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(params=attachment_params(), seed=st.integers(0, 2**32), cap=st.integers(1, 6))
+@given(params=attachment_params(), seed=st.integers(0, 2**32), cap=st.integers(1, 20))
 @example(params=GenParams(n=40, sizes={1: 0.2, 2: 0.3, 7: 0.5}, new_edges={2: 1.0}),
          seed=0, cap=3)
+@example(params=GenParams(n=40, sizes={2: 0.5, 3: 0.5}, new_edges={1: 0.5, 2: 0.5}),
+         seed=1, cap=1_000)
 def test_attachment_engine_matches_the_reference_choosers(params, seed, cap):
     H = naivepa(params, seed=seed)
     R = reference_naivepa(params, seed)
@@ -371,6 +376,21 @@ def test_attachment_engine_matches_the_reference_choosers(params, seed, cap):
     H, stats = hyperpa_detailed(params, seed=seed, subset_cap=cap)
     R, want = reference_hyperpa(params, seed, cap)
     assert (H.n, H.member_tuples(), stats) == (R.n, R.member_tuples(), want)
+
+
+def test_group_index_holds_no_group_larger_than_a_draw_needs():
+    # Sizes {2, 3} draw groups of at most two nodes, so a cap of 2e6 must cost
+    # what a cap of 6 costs; an index of 2e6 empty rows took about 300 MB.
+    params = GenParams(n=50, sizes={2: 0.5, 3: 0.5}, new_edges={1: 0.5, 2: 0.5})
+    H, stats = hyperpa_detailed(params, seed=3, subset_cap=6)
+    tracemalloc.start()
+    try:
+        got, got_stats = hyperpa_detailed(params, seed=3, subset_cap=2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.member_tuples(), got_stats) == (H.member_tuples(), stats)
+    assert peak < 1024**2, peak
 
 
 # --- subset sampling -------------------------------------------------------
@@ -543,6 +563,17 @@ def test_evaluate_denies_dependent_patterns_without_gen_giant():
     assert row["P3"].status == "denied"
     assert row["P4"].status == "denied"
     assert row["P3"].detail.get("reason")
+
+
+def test_evaluate_denies_degree_and_spectrum_closeness_to_an_empty_level():
+    # Singletons have no pair, so the generated level-2 graph has no nodes.
+    real = canonicalize([[i, i + 1, i + 2] for i in range(100)])
+    card = evaluate(real, canonicalize([[0], [1], [2]]), levels=(2,), sv_count=5)
+    row = card.levels[2]
+    assert (card.points, card.applicable) == (0, 5)
+    for name in ("P2", "P5"):
+        assert row[name].status == "denied"
+        assert row[name].detail == {"reason": "generated level graph is empty"}
 
 
 def test_evaluate_scorecard_serializes():

@@ -426,6 +426,10 @@ def test_weighted_graph_header_required(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_weighted_graph(p)
     assert exc.value.line == 2
+    p = write(tmp_path / "gx.txt", "# level=1\n# level=abc\n")
+    with pytest.raises(FormatError, match="bad level 'level=abc'") as exc:
+        read_weighted_graph(p)
+    assert exc.value.line == 2
     # No subset can be that wide, and no int64 array can have that shape.
     p = write(tmp_path / "g9.txt", f"\n# level={2**63}\n")
     with pytest.raises(FormatError, match="2\\*\\*60") as exc:

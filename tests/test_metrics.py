@@ -770,3 +770,11 @@ def test_blocks_within_the_dense_budget_skip_lanczos(monkeypatch, leaves, dense)
     assert values == pytest.approx((np.sqrt(leaves),) * 2 + (0.0,), abs=1e-9)
     q = leaves + 1
     assert solved == ({"dense": [q], "lanczos": []} if dense else {"dense": [], "lanczos": [q]})
+
+
+def test_effective_diameter_refuses_a_negative_seed():
+    G = graph_from_pairs([(i, i + 1) for i in range(30)])
+    for threshold in (20_000, 10):  # exact, and from sources the seed draws
+        with pytest.raises(ValidationError, match="seed"):
+            effective_diameter(G, exact_threshold=threshold, num_sources=5, seed=-1)
+    assert effective_diameter(G, exact_threshold=10, num_sources=5, seed=0) > 0

@@ -118,6 +118,13 @@ def test_empty_input_rejected():
         recover({})
 
 
+def test_header_only_level_file_is_rejected(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# level=1\n")
+    with pytest.raises(ValidationError, match="no nodes"):
+        recover({1: read_weighted_graph(str(path))})
+
+
 def test_inflated_weight_is_detected():
     H = canonicalize([[0, 1, 2], [0, 1, 2, 3]])
     graphs = stack(H)

@@ -506,3 +506,13 @@ def test_verdict_serialization():
     v = heavy_tail_verdict(rng.exponential(1.0, 500) + 0.01)
     d = v.to_dict()
     assert set(d) >= {"heavy_tailed", "lilliefors_rejected", "ratios"}
+
+
+def test_fit_rejects_xmin_above_every_value():
+    with pytest.raises(FitError, match="no sample values at or above xmin"):
+        fit(np.array([1.0, 2.0, 3.0]), "exponential", xmin=10.0)
+
+
+def test_lilliefors_rejects_a_negative_value():
+    with pytest.raises(FitError, match="nonnegative"):
+        lilliefors_exp([1.0, 2.0, 3.0, -1.0, 5.0])
