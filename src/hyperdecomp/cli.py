@@ -215,11 +215,11 @@ def _load_params(args, H: Hypergraph | None) -> GenParams:
         return GenParams.from_dict(hio.read_report(args.params))
     if H is None:
         raise ValidationError("--params is required when no input data is given")
-    return learn_params(dedup(H))
+    return learn_params(H)
 
 
 def cmd_generate(args) -> int:
-    _check_at_least(args, seed=0)
+    _check_at_least(args, seed=0, subset_cap=1)
     H = None
     if args.input is not None or args.simplex:
         H = _load_hypergraph(args)

@@ -2,8 +2,7 @@
 
 All types are immutable after construction and safe for concurrent reads.
 Hyperedges are kept in canonical form: members strictly increasing, no
-duplicates. Hypergraph edges have multiset semantics unless `deduplicated`
-is set.
+duplicates. Hypergraph edges have multiset semantics; `dedup` drops repeats.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class Hypergraph:
     offsets: np.ndarray  # shape (E + 1,)
     members: np.ndarray  # shape (offsets[-1],)
     timestamps: np.ndarray | None = None  # shape (E,)
-    deduplicated: bool = False
 
     def __post_init__(self) -> None:
         arrays = [a for a in (self.offsets, self.members, self.timestamps) if a is not None]
@@ -89,17 +87,12 @@ class Hypergraph:
             raise ValidationError(f"members of hyperedge {i} must be strictly increasing")
         if self.timestamps is not None and len(self.timestamps) != len(sizes):
             raise ValidationError("timestamps must align with the hyperedges")
-        if self.deduplicated:
-            repeat = np.flatnonzero(_first_copies(self) != np.arange(len(sizes)))
-            if repeat.size:
-                edge = tuple(members[offsets[repeat[0]] : offsets[repeat[0] + 1]].tolist())
-                raise ValidationError(f"duplicate hyperedge {edge} in deduplicated hypergraph")
         for a in arrays:
             a.setflags(write=False)
 
     def _key(self) -> tuple:
         stamps = None if self.timestamps is None else self.timestamps.tobytes()
-        return (self.n, self.deduplicated, self.offsets.tobytes(), self.members.tobytes(), stamps)
+        return (self.n, self.offsets.tobytes(), self.members.tobytes(), stamps)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Hypergraph) and self._key() == other._key()
@@ -153,13 +146,16 @@ class FlatRows(NamedTuple):
     members: np.ndarray
 
 
+_NOT_INT64 = "ids and timestamps must be integers in the int64 range"
+
+
 def pack_rows(rows: Sequence[Sequence[int]]) -> FlatRows:
     """A list of integer rows, stored flat."""
     offsets = np.append(0, np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows))))
     try:
         members = np.fromiter(chain.from_iterable(rows), np.int64, int(offsets[-1]))
     except (TypeError, OverflowError):
-        raise ValidationError("ids and timestamps must be integers in the int64 range") from None
+        raise ValidationError(_NOT_INT64) from None
     return FlatRows(offsets, members)
 
 
@@ -171,15 +167,6 @@ def first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return distinct[order], rank[inverse]
-
-
-def _first_copies(H: Hypergraph) -> np.ndarray:
-    """Index of the first hyperedge with the same members as each hyperedge."""
-    first = np.arange(H.num_edges)
-    for idx, rows in H.size_blocks():
-        _, inverse, head = rank_rows(rows)
-        first[idx] = idx[head][inverse]
-    return first
 
 
 def rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -389,14 +376,19 @@ def canonicalize(
     kept = np.append(0, np.cumsum(keep))
     flat = flat[keep]
     n = int(flat.max(initial=-1)) + 1 if n is None else n
-    # One row, so that timestamps get the int64 check that ids get.
-    stamps = None if timestamps is None else pack_rows([timestamps])[1]
+    try:
+        stamps = None if timestamps is None else np.array(timestamps, dtype=np.int64)
+    except (TypeError, OverflowError):
+        raise ValidationError(_NOT_INT64) from None
     return Hypergraph(n, kept[offsets], flat, stamps)
 
 
 def dedup(H: Hypergraph) -> Hypergraph:
     """Keep one hyperedge per member set: earliest timestamp, first-seen order."""
-    first = _first_copies(H)
+    first = np.arange(H.num_edges)  # the first hyperedge with each one's members
+    for idx, rows in H.size_blocks():
+        _, inverse, head = rank_rows(rows)
+        first[idx] = idx[head][inverse]
     keep = first == np.arange(H.num_edges)
     stamps = None
     if H.timestamps is not None:
@@ -405,4 +397,4 @@ def dedup(H: Hypergraph) -> Hypergraph:
         stamps = stamps[keep]
     sizes = np.diff(H.offsets)
     offsets = np.append(0, np.cumsum(sizes[keep]))
-    return Hypergraph(H.n, offsets, H.members[np.repeat(keep, sizes)], stamps, deduplicated=True)
+    return Hypergraph(H.n, offsets, H.members[np.repeat(keep, sizes)], stamps)

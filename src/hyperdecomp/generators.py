@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import DecomposedGraph, Hypergraph, ValidationError, first_appearance, pack_rows
+from .core import DecomposedGraph, Hypergraph, ValidationError, dedup, first_appearance, pack_rows
 from .decompose import DecomposeConfig, decompose
 from .metrics import (
     ComponentReport,
@@ -118,14 +118,14 @@ class GenParams:
 def learn_params(H: Hypergraph) -> GenParams:
     """Extract size and arrival distributions from timestamped data.
 
-    Hyperedges are ordered by timestamp (stable on ties) and node ids are
-    reassigned in order of first appearance; the arrival distribution
-    counts how many hyperedges each node brings, i.e. how many have that
-    node as their latest member. Nodes arriving with zero hyperedges of
-    their own contribute mass at zero.
+    Repeated hyperedges are dropped first, as `dedup` drops them. The rest
+    are ordered by timestamp (stable on ties) and node ids are reassigned
+    in order of first appearance; the arrival distribution counts how many
+    hyperedges each node brings, i.e. how many have that node as their
+    latest member. Nodes arriving with zero hyperedges of their own
+    contribute mass at zero.
     """
-    if not H.deduplicated:
-        raise ValidationError("parameter learning expects deduplicated input")
+    H = dedup(H)
     if H.num_edges == 0:
         raise ValidationError("cannot learn parameters from an empty hypergraph")
     if H.timestamps is None:
@@ -236,8 +236,8 @@ def _grow(
 
 def _attach(params: GenParams, seed: int, cap: int) -> tuple[Hypergraph, RunStats]:
     """The attachment process of `hyperpa_detailed`, with groups of up to
-    `cap` nodes. A hyperedge that needs one partner, or more than `cap`,
-    draws them from the index's size-1 rows, its node-degree bag."""
+    `cap` nodes. A hyperedge that needs more than `cap` partners draws them
+    one at a time from the index's size-1 rows, its node-degree bag."""
     rng = random.Random(seed)
     cap = min(cap, max(params.max_size - 1, 1))  # no larger group is ever drawn
     index = GroupDegreeIndex(cap)
@@ -249,8 +249,8 @@ def _attach(params: GenParams, seed: int, cap: int) -> tuple[Hypergraph, RunStat
         g_size = s - 1
         if g_size == 0:
             return (node,)
-        if g_size == 1 or g_size > cap:  # the seeds leave the bag nonempty
-            capped += g_size > cap
+        if g_size > cap:  # the seeds leave the bag nonempty
+            capped += 1
             chosen: set[int] = set()
             while len(chosen) < g_size:
                 chosen.add(nodes[rng.randrange(len(nodes))])

@@ -106,12 +106,12 @@ def _int_array(path: str, what: str, low: int) -> tuple[np.ndarray, int]:
 
 def read_simplex_format(
     nverts_path: str, simplices_path: str, times_path: str
-) -> tuple[Hypergraph, dict[int, int]]:
+) -> tuple[Hypergraph, np.ndarray]:
     """Parse the size/member-stream/timestamp triple of files.
 
-    Node ids are remapped densely in order of first appearance; the
-    returned dict maps original id to dense id. Hyperedges keep their
-    input order and may repeat.
+    Node ids are remapped densely in order of first appearance; entry i of
+    the returned int64 array is the original id of dense id i. Hyperedges
+    keep their input order and may repeat.
     """
     sizes = _int_array(nverts_path, "a hyperedge size", low=1)[0]
     members, members_end = _int_array(simplices_path, "a node id", low=0)
@@ -129,9 +129,8 @@ def read_simplex_format(
         )
 
     ids, dense = first_appearance(members)
-    id_map = dict(zip(ids.tolist(), range(len(ids))))
     offsets = np.append(0, np.cumsum(sizes))
-    return canonicalize(FlatRows(offsets, dense), timestamps=times), id_map
+    return canonicalize(FlatRows(offsets, dense), timestamps=times), ids
 
 
 def read_line_format(path: str, n: int | None = None) -> Hypergraph:

@@ -8,7 +8,7 @@ sampling is seed-driven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,11 +294,9 @@ def clustering_coefficient(G: DecomposedGraph) -> float:
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    values: tuple[float, ...] = field(default=())
-    requested: int = 0
+    """The top singular values of a graph's adjacency, descending."""
 
-    def to_dict(self) -> dict:
-        return {"requested": self.requested, "values": list(self.values)}
+    values: tuple[float, ...] = ()
 
 
 def singular_values(G: DecomposedGraph, m: int | None = None) -> SingularSpectrum:
@@ -322,10 +320,8 @@ def singular_values(G: DecomposedGraph, m: int | None = None) -> SingularSpectru
     elif m < 1:
         raise ValidationError("must request at least one singular value")
     m = min(m, n)
-    if n == 0:
-        return SingularSpectrum(values=(), requested=m)
     if G.num_edges == 0:
-        return SingularSpectrum(values=(0.0,) * m, requested=m)
+        return SingularSpectrum(values=(0.0,) * m)
 
     S, bounds = _twin_quotient(G._components)
     sizes = np.diff(bounds)
@@ -341,7 +337,7 @@ def singular_values(G: DecomposedGraph, m: int | None = None) -> SingularSpectru
     parts += [_lanczos_magnitudes(_block(S, *bounds[c : c + 2]), m) for c in np.flatnonzero(~dense)]
     parts.append(np.ones(min(n - bounds[-1], m)))  # the folded eigenvalues -1
     vals = np.sort(np.concatenate(parts))[::-1][:m]
-    return SingularSpectrum(values=tuple(float(v) for v in vals), requested=m)
+    return SingularSpectrum(values=tuple(float(v) for v in vals))
 
 
 def _twin_classes(csr: _CSR) -> np.ndarray:

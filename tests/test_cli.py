@@ -197,6 +197,19 @@ def test_negative_seed_is_refused_before_any_input_is_read(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("present", [True, False])
+@pytest.mark.parametrize("model", ["hyperpa", "naivepa", "subset", "null"])
+def test_subset_cap_below_one_is_refused_before_any_input_is_read(tmp_path, capsys, model, present):
+    # hyperpa used to read the whole input before its group index refused the
+    # cap; the other models, which draw no groups, ran with it.
+    src = write(tmp_path / "in.txt", SMALL) if present else str(tmp_path / "absent.txt")
+    out = tmp_path / "out.txt"
+    assert run(["generate", src, "--model", model, "--subset-cap", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --subset-cap must be at least 1, got 0")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("levels", ["x", ",", "1,x"])
 def test_analyze_rejects_a_bad_level_list(small_input, tmp_path, capsys, levels):
     out_dir = tmp_path / "reports"

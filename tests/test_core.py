@@ -21,18 +21,17 @@ from hyperdecomp import (
 from hyperdecomp.core import pack_rows, rank_rows
 
 
-def hypergraph(rows, n, timestamps=None, deduplicated=False):
+def hypergraph(rows, n, timestamps=None):
     """A Hypergraph built from rows as given, with no canonicalizing."""
     offsets, members = pack_rows(rows)
     stamps = None if timestamps is None else np.array(timestamps, dtype=np.int64)
-    return Hypergraph(n, offsets, members, stamps, deduplicated)
+    return Hypergraph(n, offsets, members, stamps)
 
 
 def test_canonicalize_sorts_and_dedups_members():
     H = canonicalize([[3, 1, 2, 1]])
     assert H.edges[0].members == (1, 2, 3)
     assert H.n == 4
-    assert not H.deduplicated
 
 
 def test_canonicalize_n_default_and_override():
@@ -57,10 +56,13 @@ def test_canonicalize_keeps_multiset_and_order():
     assert H.member_tuples() == [(0, 1), (0, 1), (2,)]
 
 
-def test_canonicalize_dedup_flag():
-    H = dedup(canonicalize([[1, 0], [0, 1], [2]]))
-    assert H.deduplicated
-    assert H.member_tuples() == [(0, 1), (2,)]
+def test_dedup_drops_repeats_and_is_idempotent():
+    H = canonicalize([[1, 0], [0, 1], [2]])
+    D = dedup(H)
+    assert D.member_tuples() == [(0, 1), (2,)]
+    assert dedup(D) == D
+    # A repeat-free hypergraph is one that dedup leaves as it is.
+    assert dedup(canonicalize([[1, 0], [2]])) == canonicalize([[1, 0], [2]])
 
 
 def test_hyperedge_validation():
@@ -77,8 +79,6 @@ def test_hyperedge_validation():
 def test_hypergraph_validation():
     with pytest.raises(ValidationError):
         hypergraph([(0, 2)], n=2)
-    with pytest.raises(ValidationError):
-        hypergraph([(0, 1), (0, 1)], n=3, deduplicated=True)
 
 
 def _arrays(offsets, members, timestamps=None):
@@ -88,34 +88,31 @@ def _arrays(offsets, members, timestamps=None):
     return dict(offsets=offsets, members=members, timestamps=stamps)
 
 
-# One case per refusal of the constructor: (arrays, n, deduplicated, message).
+# One case per refusal of the constructor: (arrays, n, message).
 _REFUSALS = {
-    "offsets-past-members": (_arrays([0, 3], [0, 1]), 2, False, "offsets must rise"),
-    "offsets-not-from-zero": (_arrays([1, 2], [0, 1]), 2, False, "offsets must rise"),
-    "offsets-falling": (_arrays([0, 2, 1, 2], [0, 1]), 2, False, "offsets must rise"),
-    "no-offsets": (_arrays([], []), 2, False, "offsets must rise"),
-    "empty-hyperedge": (_arrays([0, 0, 2], [0, 1]), 2, False, "hyperedge 0 is empty"),
-    "unsorted-members": (_arrays([0, 1, 3], [0, 2, 1]), 3, False, "hyperedge 1 must be strictly"),
-    "repeated-members": (_arrays([0, 2], [1, 1]), 2, False, "hyperedge 0 must be strictly"),
-    "negative-member": (_arrays([0, 2], [-1, 0]), 2, False, "negative node id -1"),
-    "member-at-n": (_arrays([0, 2], [0, 2]), 2, False, "member 2 out of range for n=2"),
-    "misaligned-timestamps": (_arrays([0, 1], [0], [1, 2]), 1, False, "timestamps must align"),
-    "repeat-when-deduplicated": (
-        _arrays([0, 1, 3, 5], [2, 0, 1, 0, 1]), 3, True, "duplicate hyperedge (0, 1)"
-    ),
+    "offsets-past-members": (_arrays([0, 3], [0, 1]), 2, "offsets must rise"),
+    "offsets-not-from-zero": (_arrays([1, 2], [0, 1]), 2, "offsets must rise"),
+    "offsets-falling": (_arrays([0, 2, 1, 2], [0, 1]), 2, "offsets must rise"),
+    "no-offsets": (_arrays([], []), 2, "offsets must rise"),
+    "empty-hyperedge": (_arrays([0, 0, 2], [0, 1]), 2, "hyperedge 0 is empty"),
+    "unsorted-members": (_arrays([0, 1, 3], [0, 2, 1]), 3, "hyperedge 1 must be strictly"),
+    "repeated-members": (_arrays([0, 2], [1, 1]), 2, "hyperedge 0 must be strictly"),
+    "negative-member": (_arrays([0, 2], [-1, 0]), 2, "negative node id -1"),
+    "member-at-n": (_arrays([0, 2], [0, 2]), 2, "member 2 out of range for n=2"),
+    "misaligned-timestamps": (_arrays([0, 1], [0], [1, 2]), 1, "timestamps must align"),
     "members-not-int64": (
-        dict(_arrays([0, 1], []), members=np.array([0], dtype=np.int32)), 1, False, "1-D int64"
+        dict(_arrays([0, 1], []), members=np.array([0], dtype=np.int32)), 1, "1-D int64"
     ),
-    "offsets-two-dimensional": (_arrays([[0, 1]], [0]), 1, False, "1-D int64"),
-    "negative-n": (_arrays([0], []), -1, False, "node count"),
+    "offsets-two-dimensional": (_arrays([[0, 1]], [0]), 1, "1-D int64"),
+    "negative-n": (_arrays([0], []), -1, "node count"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSALS))
 def test_hypergraph_constructor_refuses(case):
-    arrays, n, deduplicated, message = _REFUSALS[case]
+    arrays, n, message = _REFUSALS[case]
     with pytest.raises(ValidationError, match=re.escape(message)):
-        Hypergraph(n=n, deduplicated=deduplicated, **arrays)
+        Hypergraph(n=n, **arrays)
 
 
 def test_hypergraph_arrays_are_read_only_and_views_follow_them():
@@ -141,7 +138,6 @@ def test_hypergraph_is_hashable():
 def test_dedup_keeps_earliest_timestamp_and_first_seen_order():
     H = canonicalize([[0, 1], [2], [1, 0], [2]], timestamps=[5, 1, 3, 0])
     D = dedup(H)
-    assert D.deduplicated
     assert D.member_tuples() == [(0, 1), (2,)]
     assert [e.timestamp for e in D.edges] == [3, 0]
     assert dedup(D).member_tuples() == D.member_tuples()
@@ -325,7 +321,7 @@ def test_canonicalize_and_dedup_match_python_oracle(data):
     assert H.n == 1 + max((v for r in rows for v in r), default=-1)
     assert [(e.members, e.timestamp) for e in H.edges] == list(zip(rows, stamps))
     D = dedup(H)
-    assert D.deduplicated and D.n == H.n
+    assert D.n == H.n
     assert [(e.members, e.timestamp) for e in D.edges] == list(earliest.items())
     assert dedup(D) == D
 

@@ -107,16 +107,23 @@ def test_learn_params_matches_loop_oracle(data):
     raw = data.draw(st.lists(edge, min_size=1, max_size=15))
     stamps = data.draw(st.lists(st.integers(-2, 2), min_size=len(raw), max_size=len(raw)))
     extra = data.draw(st.integers(0, 3))  # nodes that never appear
-    H = dedup(canonicalize(raw, n=1 + max(map(max, raw)) + extra, timestamps=stamps))
-    p = learn_params(H)
+    H = canonicalize(raw, n=1 + max(map(max, raw)) + extra, timestamps=stamps)
+    p = learn_params(H)  # repeats are common in these draws
+    assert p == learn_params(dedup(H))
     assert p.n == H.n
-    assert (p.sizes, p.new_edges) == learn_params_oracle(H)
+    assert (p.sizes, p.new_edges) == learn_params_oracle(dedup(H))
     assert all(type(k) is int for k in [*p.sizes, *p.new_edges])
 
 
+def test_learn_params_drops_repeated_hyperedges():
+    # Counted twice, [0, 1] would make the size law {2: 2/3, 3: 1/3}.
+    H = canonicalize([[0, 1], [1, 2, 3], [1, 0]], timestamps=[2, 1, 0])
+    p = learn_params(H)
+    assert p == learn_params(dedup(H))
+    assert p.sizes == {2: 0.5, 3: 0.5}
+
+
 def test_learn_params_preconditions():
-    with pytest.raises(ValidationError):
-        learn_params(canonicalize([[0, 1]], timestamps=[0]))  # not deduplicated
     with pytest.raises(ValidationError):
         learn_params(dedup(canonicalize([[0, 1]])))  # no timestamps
     with pytest.raises(ValidationError, match="empty"):

@@ -50,10 +50,12 @@ def simplex_triple(tmp_path, nverts, simplices, times):
 
 def test_simplex_read_remaps_ids_by_first_appearance(tmp_path):
     paths = simplex_triple(tmp_path, "2\n3\n1\n", "7\n9\n9 3 7\n5\n", "10\n20\n30\n")
-    H, id_map = read_simplex_format(*paths)
-    assert id_map == {7: 0, 9: 1, 3: 2, 5: 3}
+    H, ids = read_simplex_format(*paths)
+    assert ids.dtype == np.int64 and ids.tolist() == [7, 9, 3, 5]
     assert H.n == 4
     assert H.member_tuples() == [(0, 1), (0, 1, 2), (3,)]
+    # The id array maps each hyperedge back to the ids it was read with.
+    assert [sorted(ids[list(e)].tolist()) for e in H.member_tuples()] == [[7, 9], [3, 7, 9], [5]]
     assert [e.timestamp for e in H.edges] == [10, 20, 30]
 
 
@@ -109,8 +111,9 @@ def test_simplex_values_beyond_int64_name_their_line(tmp_path):
         read_simplex_format(*paths)
     assert exc.value.path.endswith("x-simplices.txt")
     paths = simplex_triple(tmp_path, "2\n", f"{2**63 - 1} 0\n", f"{-(2**63)}\n")
-    H, id_map = read_simplex_format(*paths)
-    assert id_map == {2**63 - 1: 0, 0: 1} and H.timestamps.tolist() == [-(2**63)]
+    H, ids = read_simplex_format(*paths)
+    assert ids.tolist() == [2**63 - 1, 0] and H.timestamps.tolist() == [-(2**63)]
+    assert ids[H.members].tolist() == [2**63 - 1, 0]
 
 
 # The per-token simplex reader that the bulk one replaced, kept as an oracle.
@@ -157,15 +160,15 @@ def oracle_read_simplex(nverts_path, simplices_path, times_path):
     dense = [id_map.setdefault(value, len(id_map)) for value, _ in members]
     starts = list(accumulate((size for size, _ in sizes), initial=0))
     raw_edges = [dense[a:b] for a, b in zip(starts[:-1], starts[1:])]
-    return canonicalize(raw_edges, timestamps=[t for t, _ in times]), id_map
+    return canonicalize(raw_edges, timestamps=[t for t, _ in times]), list(id_map)
 
 
 def _outcome(read, paths):
     try:
-        H, id_map = read(*paths)
+        H, ids = read(*paths)
     except FormatError as exc:
         return ("error", exc.path, exc.line, str(exc))
-    return ("parsed", H, list(id_map.items()))
+    return ("parsed", H, list(ids))
 
 
 def assert_matches_simplex_oracle(paths):
@@ -237,8 +240,8 @@ def test_simplex_bulk_reader_errors_match_the_oracle(tmp_path_factory, texts, bl
 
 def test_simplex_bulk_reader_accepts_what_int_accepts(tmp_path):
     paths = simplex_triple(tmp_path, "+2\n0_1\n", "\u0663 1_000\n7\n", "-0\n+5\n")
-    H, id_map = read_simplex_format(*paths)
-    assert id_map == {3: 0, 1000: 1, 7: 2}
+    H, ids = read_simplex_format(*paths)
+    assert ids.tolist() == [3, 1000, 7]
     assert H.member_tuples() == [(0, 1), (2,)] and H.timestamps.tolist() == [0, 5]
 
 

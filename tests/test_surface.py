@@ -1,9 +1,11 @@
-"""The package's public names and the parameters of its public functions.
+"""The package's public names, the parameters of its public functions and
+the fields of its public dataclasses and NamedTuples.
 
-Adding an exported name or a function option, or dropping one, has to
-edit these pins.
+Adding an exported name, a function option or a constructor field, or
+dropping one, has to edit these pins.
 """
 
+import dataclasses
 import inspect
 
 import hyperdecomp
@@ -100,6 +102,23 @@ PARAMETERS = {
     "write_weighted_graph": ("G", "path"),
 }
 
+FIELDS = {
+    "ComponentReport": ("sizes", "largest_frac", "second_frac", "is_giant"),
+    "DecomposeConfig": ("level", "max_edge_size"),
+    "DecomposedGraph": ("level", "nodes", "edge_array"),
+    "FitResult": ("family", "params", "log_likelihood", "xmin"),
+    "GenParams": ("n", "sizes", "new_edges"),
+    "Hyperedge": ("members", "timestamp"),
+    "Hypergraph": ("n", "offsets", "members", "timestamps"),
+    "SamplingRule": ("kind", "k", "inner"),
+    "ScoreCard": ("levels", "points", "applicable"),
+    "SingularSpectrum": ("values",),
+    "TailVerdict": (
+        "heavy_tailed", "lilliefors_rejected", "lilliefors_stat", "lilliefors_critical", "ratios"
+    ),
+    "WeightedDecomposedGraph": ("base", "weights", "self_loops"),
+}
+
 
 def test_public_names_are_pinned_and_resolve():
     assert hyperdecomp.__all__ == PUBLIC_NAMES
@@ -116,3 +135,17 @@ def test_public_function_parameters_are_pinned():
     assert set(functions) == set(PARAMETERS)
     for name, fn in functions.items():
         assert tuple(inspect.signature(fn).parameters) == PARAMETERS[name], name
+
+
+def _fields(obj) -> tuple[str, ...] | None:
+    """A dataclass's or a NamedTuple's fields in order; None for anything else."""
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+        return tuple(f.name for f in dataclasses.fields(obj))
+    if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields"):
+        return obj._fields
+    return None
+
+
+def test_public_record_fields_are_pinned():
+    fields = {name: _fields(getattr(hyperdecomp, name)) for name in PUBLIC_NAMES}
+    assert {name: f for name, f in fields.items() if f is not None} == FIELDS
