@@ -181,8 +181,8 @@ def cmd_analyze(args) -> int:
             from concurrent.futures import ThreadPoolExecutor
 
             run_all = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        # Every spectrum runs before the first tail test, whose Monte Carlo table
-        # loads numpy.random and numpy.ma: 8 MB that would sit under eigvalsh.
+        # Every spectrum runs before the first tail test: run level by level,
+        # analyze peaked 0.3-0.5 MB higher, even with each level's graph freed.
         measured = list(run_all(lambda lv: _measure_level(H, lv, args, write), levels))
         summaries = list(run_all(lambda m: _report_level(m, args, write), measured))
     for s in summaries:
@@ -245,13 +245,11 @@ def cmd_generate(args) -> int:
             manifest.update(stats.to_dict())
         elif args.model == "naivepa":
             out_H = naivepa(params, seed=args.seed)
-        elif args.model == "subset":
+        else:  # argparse's choices leave only "subset"
             rule = SamplingRule(kind=args.rule, k=args.window, inner=args.inner or "random")
             out_H = subset_sampling(params, p=args.p, rule=rule, seed=args.seed)
             manifest["p"] = args.p
             manifest["rule"] = rule.to_dict()
-        else:
-            raise ValidationError(f"unknown model {args.model!r}")
     with _outputs() as write:
         write(args.out, lambda p: hio.write_line_format(out_H, p))
         write(args.out + ".manifest.json", lambda p: hio.write_report(manifest, p))

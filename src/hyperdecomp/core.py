@@ -7,6 +7,7 @@ duplicates. Hypergraph edges have multiset semantics; `dedup` drops repeats.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -146,17 +147,19 @@ class FlatRows(NamedTuple):
     members: np.ndarray
 
 
-_NOT_INT64 = "ids and timestamps must be integers in the int64 range"
+def _int64s(values: Iterable, count: int) -> np.ndarray:
+    """`count` values as an int64 array; anything `operator.index` refuses,
+    such as a float or a string, is refused rather than converted."""
+    try:
+        return np.fromiter(map(operator.index, values), np.int64, count)
+    except (TypeError, OverflowError):
+        raise ValidationError("ids and timestamps must be integers in the int64 range") from None
 
 
 def pack_rows(rows: Sequence[Sequence[int]]) -> FlatRows:
     """A list of integer rows, stored flat."""
     offsets = np.append(0, np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows))))
-    try:
-        members = np.fromiter(chain.from_iterable(rows), np.int64, int(offsets[-1]))
-    except (TypeError, OverflowError):
-        raise ValidationError(_NOT_INT64) from None
-    return FlatRows(offsets, members)
+    return FlatRows(offsets, _int64s(chain.from_iterable(rows), int(offsets[-1])))
 
 
 def first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,14 +306,6 @@ class DecomposedGraph:
         bounds = np.append(0, np.cumsum(np.bincount(labels)))
         return _Components(position, bounds, _adjacency(n, position[u], position[v]))
 
-    def adjacency_csr(self):
-        """The adjacency as a scipy.sparse int8 CSR matrix."""
-        from scipy.sparse import csr_matrix
-
-        n, (u, v) = self.num_nodes, self.edge_array.T
-        indptr, indices, _ = _adjacency(n, u, v)
-        return csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(n, n))
-
     def degrees(self) -> np.ndarray:
         """Distinct-neighbor count per node."""
         return np.bincount(
@@ -361,8 +356,8 @@ def canonicalize(
 
     Members are sorted and deduplicated within each hyperedge. `n` defaults
     to 1 + the largest id seen. Empty hyperedges, negative ids and ids or
-    timestamps outside int64 are rejected. Repeated hyperedges are kept;
-    `dedup` drops them.
+    timestamps that are not integers in the int64 range (floats and strings
+    included) are rejected. Repeated hyperedges are kept; `dedup` drops them.
     """
     offsets, flat = raw_edges if isinstance(raw_edges, FlatRows) else pack_rows(list(raw_edges))
     sizes = np.diff(offsets)
@@ -376,10 +371,11 @@ def canonicalize(
     kept = np.append(0, np.cumsum(keep))
     flat = flat[keep]
     n = int(flat.max(initial=-1)) + 1 if n is None else n
-    try:
-        stamps = None if timestamps is None else np.array(timestamps, dtype=np.int64)
-    except (TypeError, OverflowError):
-        raise ValidationError(_NOT_INT64) from None
+    stamps = timestamps
+    if isinstance(stamps, np.ndarray) and stamps.dtype == np.int64:
+        stamps = stamps.copy()
+    elif stamps is not None:
+        stamps = _int64s(stamps, len(stamps))
     return Hypergraph(n, kept[offsets], flat, stamps)
 
 

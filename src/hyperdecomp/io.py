@@ -133,14 +133,14 @@ def read_simplex_format(
     return canonicalize(FlatRows(offsets, dense), timestamps=times), ids
 
 
-def read_line_format(path: str, n: int | None = None) -> Hypergraph:
+def read_line_format(path: str) -> Hypergraph:
     """One hyperedge per line: node ids, then an optional final t=<int>.
 
     Either every hyperedge carries t= or none does; the first line that
     differs from the first hyperedge is an error.
     """
-    raw_edges: list[list[int]] = []
-    timestamps: list[int | None] = []
+    # Every value is checked here, so the rows go to canonicalize as FlatRows.
+    members, sizes, stamps = array("q"), array("q"), array("q")
     timed: bool | None = None
     with _open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -156,10 +156,13 @@ def read_line_format(path: str, n: int | None = None) -> Hypergraph:
                 raise FormatError(path, lineno, "either all or no hyperedges may carry t=")
             if not toks:
                 raise FormatError(path, lineno, "hyperedge has no members")
-            raw_edges.append([_int64(tok, path, lineno, "a node id", low=0) for tok in toks])
-            timestamps.append(ts)
-    stamps = timestamps if timed else None
-    return canonicalize(raw_edges, n=n, timestamps=stamps)  # type: ignore[arg-type]
+            members.extend([_int64(tok, path, lineno, "a node id", low=0) for tok in toks])
+            sizes.append(len(toks))
+            if timed:
+                stamps.append(ts)
+    offsets = np.append(0, np.cumsum(np.frombuffer(sizes, np.int64)))
+    rows = FlatRows(offsets, np.frombuffer(members, np.int64))
+    return canonicalize(rows, timestamps=np.frombuffer(stamps, np.int64) if timed else None)
 
 
 # Lines are formatted this many hyperedges, edges or node labels at a time,

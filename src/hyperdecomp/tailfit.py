@@ -3,7 +3,7 @@
 Fits exponential, power-law, truncated power-law, and lognormal models to
 the tail above xmin by maximum likelihood, compares them through
 log-likelihood ratios against the exponential baseline, and tests
-exponentiality with a Monte Carlo Lilliefors statistic. A sample counts as
+exponentiality with a Lilliefors statistic. A sample counts as
 heavy-tailed when exponentiality is rejected or any heavy-tailed
 alternative beats the exponential fit.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from itertools import count
 
 import numpy as np
@@ -46,11 +45,9 @@ _TPL_RATE_HI = 1e4
 _EPS = 2.0**-53
 _FRACTION_TERMS = 500
 
-# The Lilliefors test's level, and the size and seed of its Monte Carlo
-# table of critical values.
+# The Lilliefors test's level. `_lilliefors_critical` holds Stephens' point
+# for this level, so the two change together.
 LILLIEFORS_SIGNIFICANCE = 0.025
-LILLIEFORS_REPS = 1000
-LILLIEFORS_SEED = 20_0902
 
 
 class FitError(ValueError):
@@ -230,11 +227,12 @@ def loglik_ratio(data, family: str, xmin: float | None = None) -> float:
     return float(alt.log_likelihood - base.log_likelihood)
 
 
-@lru_cache(maxsize=64)
 def _lilliefors_critical(n: int) -> float:
-    rng = np.random.default_rng(LILLIEFORS_SEED)
-    stats = [_exp_dstat(rng.exponential(1.0, size=n)) for _ in range(LILLIEFORS_REPS)]
-    return float(np.quantile(stats, 1.0 - LILLIEFORS_SIGNIFICANCE))
+    """Upper 2.5% point of D for an exponential with estimated mean: Stephens'
+    modified statistic (D - 0.2/n)(sqrt(n) + 0.26 + 0.5/sqrt(n)) has the
+    point 1.190 (JASA 69, 1974, Table 1A)."""
+    root = math.sqrt(n)
+    return 1.190 / (root + 0.26 + 0.5 / root) + 0.2 / n
 
 
 def _exp_dstat(x: np.ndarray) -> float:
@@ -251,10 +249,8 @@ def _exp_dstat(x: np.ndarray) -> float:
 def lilliefors_exp(data) -> tuple[bool, float, float]:
     """Lilliefors test of exponentiality with estimated rate.
 
-    The test runs at level LILLIEFORS_SIGNIFICANCE. Critical values come
-    from a Monte Carlo table of LILLIEFORS_REPS draws seeded with
-    LILLIEFORS_SEED, cached per sample size. Returns (rejected, statistic,
-    critical_value).
+    The test runs at level LILLIEFORS_SIGNIFICANCE, with Stephens' closed
+    form for the critical value. Returns (rejected, statistic, critical_value).
     """
     x = np.asarray(data, dtype=np.float64).ravel()
     if x.size < 5:

@@ -1,4 +1,5 @@
-"""Shared fixtures: dataset discovery and random hypergraph builders."""
+"""Shared fixtures: dataset discovery, random hypergraph builders and the
+scipy adjacency that oracles take."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import hyperdecomp
-from hyperdecomp import Hypergraph, canonicalize
+from hyperdecomp import DecomposedGraph, Hypergraph, canonicalize
+from hyperdecomp.core import _adjacency
 from hyperdecomp.io import read_simplex_format
 
 DATA_ENV = "HYPERDECOMP_DATA"
@@ -100,6 +103,13 @@ def random_hypergraph(
         for _ in range(int(rng.integers(0, 4))):
             edges.append(list(edges[int(rng.integers(0, len(edges)))]))
     return canonicalize(edges, n=n)
+
+
+def adjacency_csr(G: DecomposedGraph) -> csr_matrix:
+    """The adjacency of a decomposed graph as a scipy.sparse int8 CSR matrix."""
+    n, (u, v) = G.num_nodes, G.edge_array.T
+    indptr, indices, _ = _adjacency(n, u, v)
+    return csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(n, n))
 
 
 @pytest.fixture

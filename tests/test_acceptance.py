@@ -38,7 +38,7 @@ from hyperdecomp import (
 )
 from hyperdecomp.decompose import HIGHER_LEVEL_CAP, NODE_LEVEL_CAP
 
-from conftest import load_dataset, random_hypergraph
+from conftest import adjacency_csr, load_dataset, random_hypergraph
 from test_decompose import edge_pairs, oracle_unweighted, oracle_weighted, subsets, weight_map
 from test_metrics import random_graph
 
@@ -205,7 +205,7 @@ def test_criterion_09_singular_values(lanczos_blocks):
         got = singular_values(G, m=m)
         iterated += bool(lanczos_blocks)
         dense = np.linalg.svd(
-            G.adjacency_csr().toarray().astype(float), compute_uv=False
+            adjacency_csr(G).toarray().astype(float), compute_uv=False
         )
         tol = 1e-6 * max(1.0, float(dense[0]))
         assert np.all(np.abs(np.asarray(got.values) - dense[:m]) <= tol), f"seed {seed}"

@@ -510,13 +510,13 @@ def test_installed_entry_point_smoke(tmp_path):
 PINNED_REPORTS = {
     "analyze/level1-degrees.tsv": "9ea96c757b37ebef883451ae76f376c97a46071d76963a43816d6c2b2f21b9ce",
     "analyze/level1-spectrum.tsv": "4b033fe019de67559ec979faf12a053fa528c57e8cfda54055e09cf5caaaf355",
-    "analyze/level1.json": "e9a853f86a4826e19f3a7dcfd41ec0e8a5cfcefcf2fb18d017a09f0f6b96d616",
+    "analyze/level1.json": "f47d601ccff1fe07e3cbd6282987759ea8214eafa2b26d9309233e82481f8929",
     "analyze/level2-degrees.tsv": "1a71a4676a975dc2c970c2ec712a3863c38a7044fa28dd2f6ae4ccafb1562fd9",
     "analyze/level2-spectrum.tsv": "129374a6ea8040bbc82b2719f548e823b2a6fccacf62df9cb1e30b0ff179c87c",
-    "analyze/level2.json": "1d38c813c155f5e75f774b974ffee38b77292051a4dcc78cbb39f78e212303a1",
+    "analyze/level2.json": "42fd7dc04204dc13a4e8e84adaf83d06d77087eb6f6b0344658c35d1d1e8ee5e",
     "analyze/level3-degrees.tsv": "31b011913001cca5d1b906ef5d4cc75f09c2534fd1fe6fbff3c146d1cc8f7e3c",
     "analyze/level3-spectrum.tsv": "850cf9d07ca1becdea3c9926ec7cf1c303b96c400142a9f68bff9393ec24bb1f",
-    "analyze/level3.json": "6fc3b8454f3f3ebcb7dd175329eb2d8d9283794e3c6599c8c21177a55784ade3",
+    "analyze/level3.json": "358494af3d814d29819b983c5a65dd07d8cbc6441cf6eea1e38eaae3be39803b",
     "card.json": "aa9763bcd2379ac159a6cff7dc8cafad455253e3134433f68c20c1e9df6084a5",
 }
 

@@ -20,6 +20,8 @@ from hyperdecomp import (
 )
 from hyperdecomp.core import pack_rows, rank_rows
 
+from conftest import adjacency_csr
+
 
 def hypergraph(rows, n, timestamps=None):
     """A Hypergraph built from rows as given, with no canonicalizing."""
@@ -49,6 +51,31 @@ def test_canonicalize_rejects_bad_edges():
         canonicalize([[-1, 2]])
     with pytest.raises(ValidationError):
         canonicalize([[0]], timestamps=[1, 2])
+
+
+@pytest.mark.parametrize(
+    "rows, timestamps",
+    [
+        ([[0.9, 2.5]], [1.5]),  # was the hyperedge (0, 2) at time 1
+        ([[0, 2]], [1.5]),
+        ([["3", True]], None),  # was (1, 3)
+        ([[np.float64(1.0), 2]], None),
+        ([[0, 2]], np.array([1.0])),
+        ([[0, 2]], ["1"]),
+    ],
+)
+def test_canonicalize_refuses_non_integer_ids_and_timestamps(rows, timestamps):
+    with pytest.raises(ValidationError, match="integers"):
+        canonicalize(rows, timestamps=timestamps)
+
+
+def test_canonicalize_takes_any_integer_type():
+    H = canonicalize([[3, True], [np.int32(5), np.uint8(2)]], timestamps=[np.int64(4), 5])
+    assert H.member_tuples() == [(1, 3), (2, 5)]
+    assert H.timestamps.tolist() == [4, 5]
+    stamps = np.array([7, 8])
+    assert canonicalize([[0], [1]], timestamps=stamps).timestamps.tolist() == [7, 8]
+    assert stamps.flags.writeable  # the caller's array is copied, not frozen
 
 
 def test_canonicalize_keeps_multiset_and_order():
@@ -150,7 +177,7 @@ def test_decomposed_graph_validation_and_accessors():
     assert G.num_nodes == 3 and G.num_edges == 2
     assert G.edge_array.tolist() == [[0, 1], [1, 2]]
     assert G.degrees().tolist() == [1, 2, 1]
-    adj = G.adjacency_csr()
+    adj = adjacency_csr(G)
     assert (adj != adj.T).nnz == 0
     for array in (G.nodes, G.edge_array):
         with pytest.raises(ValueError, match="read-only"):
@@ -353,5 +380,5 @@ def test_degrees_equal_adjacency_row_sums(G):
     deg = G.degrees()
     assert deg.dtype == np.int64
     assert deg.shape == (G.num_nodes,)
-    row_sums = np.asarray(G.adjacency_csr().sum(axis=1)).ravel()
+    row_sums = np.asarray(adjacency_csr(G).sum(axis=1)).ravel()
     assert deg.tolist() == row_sums.tolist()

@@ -292,10 +292,10 @@ def test_simplex_reader_opens_each_file_once(tmp_path, texts, error):
 
 
 def test_line_format_roundtrip(tmp_path):
-    H = canonicalize([[4, 0, 2], [1], [1, 3]], n=6, timestamps=[9, 8, 7])
+    H = canonicalize([[4, 0, 2], [1], [1, 3]], timestamps=[9, 8, 7])
     p = tmp_path / "h.txt"
     write_line_format(H, str(p))
-    back = read_line_format(str(p), n=6)
+    back = read_line_format(str(p))
     assert back == H
 
 

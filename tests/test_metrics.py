@@ -25,7 +25,7 @@ from hyperdecomp.core import DecomposedGraph
 from hyperdecomp import metrics as metrics_mod
 from hyperdecomp.metrics import GIANT_RATIO
 
-from conftest import random_hypergraph
+from conftest import adjacency_csr, random_hypergraph
 
 
 def ids(n):
@@ -84,7 +84,7 @@ def oracle_component_sizes(G):
 
 def oracle_effective_diameter(G, q=0.9, sources=None):
     """Dense shortest-path matrix plus the interpolation definition."""
-    dist = csgraph.shortest_path(G.adjacency_csr(), method="D", unweighted=True, indices=sources)
+    dist = csgraph.shortest_path(adjacency_csr(G), method="D", unweighted=True, indices=sources)
     finite = dist[np.isfinite(dist) & (dist > 0)]
     values = np.sort(finite)
     total = values.size
@@ -262,20 +262,20 @@ def long_path(n):
 @example(G=long_path(5_000))
 @example(G=graph_on(12, [(0, 11)]))
 def test_components_match_csgraph(G):
-    count, labels = csgraph.connected_components(G.adjacency_csr(), directed=False)
+    count, labels = csgraph.connected_components(adjacency_csr(G), directed=False)
     comps = G._components
     assert comps.bounds.tolist() == [0, *np.cumsum(np.bincount(labels, minlength=count))]
     assert (np.searchsorted(comps.bounds, comps.position, side="right") - 1).tolist() == labels.tolist()
     order = np.argsort(labels, kind="stable")
     assert comps.position[order].tolist() == list(range(G.num_nodes))
-    want = G.adjacency_csr()[order][:, order]
+    want = adjacency_csr(G)[order][:, order]
     want.sort_indices()
     assert comps.csr.indptr.tolist() == want.indptr.tolist()
     assert comps.csr.indices.tolist() == want.indices.tolist()
 
 
 def oracle_distance_counts(G, sources):
-    dist = csgraph.shortest_path(G.adjacency_csr(), method="D", unweighted=True, indices=sources)
+    dist = csgraph.shortest_path(adjacency_csr(G), method="D", unweighted=True, indices=sources)
     return np.bincount(dist[np.isfinite(dist) & (dist > 0)].astype(np.int64), minlength=1)
 
 
@@ -370,7 +370,7 @@ def product_triangles(G):
     deg = G.degrees()
     lo, hi = np.where(deg[u] > deg[v], (v, u), (u, v))
     L = csr_matrix((np.ones(lo.size, dtype=np.int64), (lo, hi)), shape=(n, n))
-    adj = G.adjacency_csr().astype(np.int64)
+    adj = adjacency_csr(G).astype(np.int64)
     return np.asarray((adj @ L).multiply(adj).sum(axis=1)).ravel().tolist()
 
 
@@ -467,7 +467,7 @@ def test_singular_values_iterative_matches_dense_svd(lanczos_blocks):
         lanczos_blocks.clear()
         got = np.array(singular_values(G, m=m).values)
         assert lanczos_blocks
-        dense = np.linalg.svd(G.adjacency_csr().toarray().astype(float), compute_uv=False)
+        dense = np.linalg.svd(adjacency_csr(G).toarray().astype(float), compute_uv=False)
         want = dense[:m]
         scale = max(1.0, float(want[0]))
         assert np.all(np.abs(got - want) <= 1e-6 * scale)
@@ -479,7 +479,7 @@ def test_singular_values_iterative_matches_dense_svd(lanczos_blocks):
 def test_block_spectrum_matches_dense_eigenvalues(case):
     G, m = case
     got = np.array(singular_values(G, m=m).values)
-    dense = np.linalg.eigvalsh(G.adjacency_csr().toarray().astype(float))
+    dense = np.linalg.eigvalsh(adjacency_csr(G).toarray().astype(float))
     want = np.sort(np.abs(dense))[::-1][:m]
     assert np.all(np.abs(got - want) <= 1e-6 * max(1.0, float(want[0])))
 
@@ -513,7 +513,7 @@ def test_connected_spectrum_is_the_whole_graph_solve(n, seed, data):
     # dense one over the whole graph.
     assume(len(oracle_twin_classes(G)) == n)
     m = data.draw(st.integers(1, n))
-    eigs = np.linalg.eigvalsh(G.adjacency_csr().toarray().astype(np.float64))
+    eigs = np.linalg.eigvalsh(adjacency_csr(G).toarray().astype(np.float64))
     assert singular_values(G, m=m).values == tuple(np.sort(np.abs(eigs))[::-1][:m].tolist())
 
 
@@ -597,7 +597,7 @@ def blown_up_path():
 def test_spectrum_with_planted_twins_matches_dense_eigenvalues(case):
     G, m = case
     got = np.array(singular_values(G, m=m).values)
-    dense = np.linalg.eigvalsh(G.adjacency_csr().toarray().astype(float))
+    dense = np.linalg.eigvalsh(adjacency_csr(G).toarray().astype(float))
     want = np.sort(np.abs(dense))[::-1][:m]
     assert np.all(np.abs(got - want) <= 1e-6 * max(1.0, float(want[0])))
 
@@ -736,7 +736,7 @@ def four_cycle_with_leaves():
 def test_repeated_eigenvalue_inside_one_component_keeps_its_copies():
     G = k6s_on_a_hub_with_a_path()
     got = np.array(singular_values(G, m=50).values)
-    want = np.sort(np.abs(np.linalg.eigvalsh(G.adjacency_csr().toarray().astype(float))))[::-1]
+    want = np.sort(np.abs(np.linalg.eigvalsh(adjacency_csr(G).toarray().astype(float))))[::-1]
     assert np.sum(np.abs(got - 5.0) <= 1e-9) == np.sum(np.abs(want - 5.0) <= 1e-9) == 19
     assert np.all(np.abs(got - want[:50]) <= 1e-9 * want[0])
 

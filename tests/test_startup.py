@@ -2,10 +2,10 @@
 worker count never changes its output.
 
 No command loads scipy: the metrics and the tail fits run on numpy, and
-only the Lanczos solver for spectrum blocks above the dense budget and
-`DecomposedGraph.adjacency_csr` import it, on first use. No command loads
-mpmath, which is a test-only oracle. Each check runs in a new interpreter,
-since this test process has long since imported scipy.
+only the Lanczos solver for spectrum blocks above the dense budget imports
+it, on first use. No command loads mpmath, which is a test-only oracle.
+Each check runs in a new interpreter, since this test process has long
+since imported scipy.
 """
 
 import json
@@ -98,50 +98,58 @@ def test_cli_loads_neither_scipy_nor_mpmath(tmp_path):
     steps.append(
         ["evaluate", ["evaluate", data, str(tmp_path / "gen-hyperpa.txt"), "--levels", "1,2", "--out", card]]
     )
-    steps.append(["adjacency", (
-        "from hyperdecomp import DecomposeConfig, decompose, read_line_format\n"
-        f"decompose(read_line_format({data!r}), DecomposeConfig.for_level(1)).adjacency_csr()"
+    steps.append(["lanczos", (
+        "from hyperdecomp import DecomposeConfig, decompose, metrics, read_line_format\n"
+        "metrics.DENSE_BLOCK_BYTES = 0\n"
+        f"G = decompose(read_line_format({data!r}), DecomposeConfig.for_level(1))\n"
+        "metrics.singular_values(G, m=2)"
     )])
 
     loaded = _probe(steps)
 
     assert list(loaded) == ["import"] + [name for name, _ in steps]
     for name, modules in loaded.items():
-        if name != "adjacency":
+        if name != "lanczos":
             assert modules == [], f"{name} loaded {modules}"
-    # The probe can see an import: adjacency_csr builds a scipy matrix.
-    assert "scipy.sparse" in loaded["adjacency"]
-    assert not [m for m in loaded["adjacency"] if m.startswith("mpmath")]
+    # The probe can see an import: with no dense budget the spectrum runs
+    # scipy's Lanczos solver.
+    assert "scipy.sparse.linalg" in loaded["lanczos"]
+    assert not [m for m in loaded["lanczos"] if m.startswith("mpmath")]
     assert sorted(read_line_format(str(back)).member_tuples()) == sorted(
         read_line_format(data).member_tuples()
     )
 
 
-# Runs one CLI command with `singular_values` wrapped where the CLI calls
-# it, and prints, per call, which of WATCHED are loaded at that moment.
+# Runs one CLI command with `singular_values` and `heavy_tail_verdict`
+# wrapped where the CLI calls them, and prints the order of their calls and
+# which of WATCHED are loaded once the command is done.
 SCHEDULE_PROBE = r"""
 import json, sys
 import hyperdecomp.cli as cli
 
-WATCHED = ("numpy.random", "numpy.ma", "secrets", "hashlib", "concurrent.futures")
-seen, real = [], cli.singular_values
+WATCHED = ("numpy.random", "numpy.ma", "concurrent.futures")
+calls = []
 
-def spectrum(G, m):
-    seen.append([name for name in WATCHED if name in sys.modules])
-    return real(G, m)
+def spy(name, real):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return call
 
-cli.singular_values = spectrum
+cli.singular_values = spy("spectrum", cli.singular_values)
+cli.heavy_tail_verdict = spy("tail", cli.heavy_tail_verdict)
 if cli.main(json.loads(sys.argv[1])) != 0:
     raise SystemExit("command failed")
-print(json.dumps(seen))
+print(json.dumps([calls, [name for name in WATCHED if name in sys.modules]]))
 """
 
 
 @pytest.mark.parametrize("workers, expected", [(1, []), (2, ["concurrent.futures"])])
 def test_every_spectrum_runs_before_the_tail_test_imports(tmp_path, workers, expected):
-    # The first degree-tail test loads numpy.random (and with it secrets and
-    # hashlib) and numpy.ma; analyze runs every level's spectrum before it,
-    # and imports the thread pool only for more than one worker.
+    # analyze runs every level's spectrum before the first degree-tail test,
+    # as the two phases keep its peak lower; the tail test imports neither
+    # numpy.random nor numpy.ma, and the thread pool is imported only for
+    # more than one worker.
     data = _timestamped_input(tmp_path / "in.txt")
     out_dir = tmp_path / "rep"
     argv = ["analyze", data, "--levels", "1,2,3", "--sv-count", "4", "--out", str(out_dir)]
@@ -153,7 +161,9 @@ def test_every_spectrum_runs_before_the_tail_test_imports(tmp_path, workers, exp
     )
     assert proc.returncode == 0, proc.stderr
 
-    assert json.loads(proc.stdout.splitlines()[-1]) == [expected] * 3
+    calls, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert calls == ["spectrum"] * 3 + ["tail"] * 3
+    assert loaded == expected
     for k in (1, 2, 3):
         report = json.loads((out_dir / f"level{k}.json").read_text())
         assert report["edges"] > 0 and "degree_tail" in report, k

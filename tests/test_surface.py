@@ -1,12 +1,19 @@
-"""The package's public names, the parameters of its public functions and
-the fields of its public dataclasses and NamedTuples.
+"""The package's public names, the parameters of its public functions, the
+fields of its public dataclasses and NamedTuples, and the third-party
+modules its source imports.
 
 Adding an exported name, a function option or a constructor field, or
 dropping one, has to edit these pins.
 """
 
+import ast
 import dataclasses
 import inspect
+import re
+import sys
+from pathlib import Path
+
+import pytest
 
 import hyperdecomp
 
@@ -87,7 +94,7 @@ PARAMETERS = {
     "loglik_ratio": ("data", "family", "xmin"),
     "naivepa": ("params", "seed"),
     "null_model": ("H", "seed"),
-    "read_line_format": ("path", "n"),
+    "read_line_format": ("path",),
     "read_report": ("path",),
     "read_simplex_format": ("nverts_path", "simplices_path", "times_path"),
     "read_weighted_graph": ("path",),
@@ -149,3 +156,21 @@ def _fields(obj) -> tuple[str, ...] | None:
 def test_public_record_fields_are_pinned():
     fields = {name: _fields(getattr(hyperdecomp, name)) for name in PUBLIC_NAMES}
     assert {name: f for name, f in fields.items() if f is not None} == FIELDS
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    # Keeps pyproject.toml's dependency list, and with it the floors the CI
+    # matrix tests, in step with what the source really imports.
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(hyperdecomp.__file__).resolve().parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"hyperdecomp"}
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in pyproject["project"]["dependencies"]}
+    assert third_party == declared == {"numpy", "scipy"}

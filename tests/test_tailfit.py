@@ -426,10 +426,14 @@ def test_lilliefors_critical_monotone_in_n():
     assert crits[0] > crits[1] > crits[2]
 
 
-def test_lilliefors_critical_cached_and_deterministic():
-    a = _lilliefors_critical(123)
-    b = _lilliefors_critical(123)
-    assert a == b
+@pytest.mark.parametrize("n", [5, 20, 100, 500])
+def test_lilliefors_critical_matches_monte_carlo(n):
+    # The oracle: the 97.5% point of D over 10,000 exponential samples of size
+    # n, which other seeds move by under 1%.
+    rng = np.random.default_rng(n)
+    stats = [tailfit._exp_dstat(rng.exponential(1.0, size=n)) for _ in range(10_000)]
+    table = np.quantile(stats, 1.0 - tailfit.LILLIEFORS_SIGNIFICANCE)
+    assert _lilliefors_critical(n) == pytest.approx(table, rel=0.03)
 
 
 @settings(max_examples=25, deadline=None)
