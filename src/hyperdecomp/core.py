@@ -156,12 +156,6 @@ def _int64s(values: Iterable, count: int) -> np.ndarray:
         raise ValidationError("ids and timestamps must be integers in the int64 range") from None
 
 
-def pack_rows(rows: Sequence[Sequence[int]]) -> FlatRows:
-    """A list of integer rows, stored flat."""
-    offsets = np.append(0, np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows))))
-    return FlatRows(offsets, _int64s(chain.from_iterable(rows), int(offsets[-1])))
-
-
 def first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a 1-D array in order of first appearance, and
     the index among them of each value."""
@@ -359,7 +353,12 @@ def canonicalize(
     timestamps that are not integers in the int64 range (floats and strings
     included) are rejected. Repeated hyperedges are kept; `dedup` drops them.
     """
-    offsets, flat = raw_edges if isinstance(raw_edges, FlatRows) else pack_rows(list(raw_edges))
+    if isinstance(raw_edges, FlatRows):
+        offsets, flat = raw_edges
+    else:
+        rows = list(raw_edges)
+        offsets = np.append(0, np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows))))
+        flat = _int64s(chain.from_iterable(rows), int(offsets[-1]))
     sizes = np.diff(offsets)
     # Members are sorted within each hyperedge, a block of equal sizes at a time.
     for idx in key_groups(sizes):

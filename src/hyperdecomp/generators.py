@@ -13,15 +13,14 @@ import bisect
 import math
 import random
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, islice
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .core import DecomposedGraph, Hypergraph, ValidationError, dedup, first_appearance, pack_rows
+from .core import Hypergraph, ValidationError, dedup, first_appearance
 from .decompose import DecomposeConfig, decompose
 from .metrics import (
     ComponentReport,
@@ -35,7 +34,6 @@ from .tailfit import ks_dstat
 __all__ = [
     "GenParams",
     "learn_params",
-    "GroupDegreeIndex",
     "hyperpa",
     "hyperpa_detailed",
     "naivepa",
@@ -145,52 +143,6 @@ def learn_params(H: Hypergraph) -> GenParams:
     )
 
 
-# Largest node id a GroupDegreeIndex row (uint32) can hold.
-_ROW_ID_MAX = 2**32 - 1
-
-
-class GroupDegreeIndex:
-    """Degree-proportional sampler over node groups of bounded size.
-
-    For each group size j up to `cap` the index stores one row of j ids per
-    (hyperedge, subset) incidence, flat in one uint32 array, so a group's
-    degree is its row count and a uniform row draw is a degree-proportional
-    group draw.
-    """
-
-    def __init__(self, cap: int):
-        if cap < 1:
-            raise ValidationError("group-size cap must be >= 1")
-        self.cap = cap
-        self._rows = {j: array("I") for j in range(1, cap + 1)}
-
-    def add_hyperedge(self, members: Sequence[int]) -> None:
-        if members and max(members) > _ROW_ID_MAX:
-            raise ValidationError(
-                f"node id {max(members)} does not fit the index's uint32 rows"
-            )
-        self._rows[1].extend(members)
-        if self.cap > 1:  # at cap 1, setting up the range costs more than the extend
-            for j in range(2, min(len(members), self.cap) + 1):
-                self._rows[j].extend(chain.from_iterable(combinations(members, j)))
-
-    def count(self, size: int) -> int:
-        """Total degree mass held by groups of the given size."""
-        return len(self._rows[size]) // size if size in self._rows else 0
-
-    def sample(self, size: int, rng: random.Random) -> tuple[int, ...]:
-        used = self.count(size)
-        if used == 0:
-            raise ValidationError(f"no group of size {size} has positive degree")
-        start = rng.randrange(used) * size
-        return tuple(self._rows[size][start : start + size])
-
-    def degrees(self, size: int) -> Counter:
-        """Recount of group degrees, for verification against stored edges."""
-        rows = self._rows.get(size, ())
-        return Counter(tuple(rows[i : i + size]) for i in range(0, len(rows), size))
-
-
 @dataclass(frozen=True)
 class RunStats:
     """Bookkeeping from one generator run, for manifests and invariants."""
@@ -230,19 +182,34 @@ def _grow(
         for e in new:
             absorb(e)
         edges.extend(new)
-    offsets, members = pack_rows(edges)
+    offsets = np.append(0, np.cumsum(np.fromiter(map(len, edges), np.int64, len(edges))))
+    members = np.fromiter(chain.from_iterable(edges), np.int64, int(offsets[-1]))
     return Hypergraph(n=first + params.n, offsets=offsets, members=members)
 
 
 def _attach(params: GenParams, seed: int, cap: int) -> tuple[Hypergraph, RunStats]:
     """The attachment process of `hyperpa_detailed`, with groups of up to
-    `cap` nodes. A hyperedge that needs more than `cap` partners draws them
-    one at a time from the index's size-1 rows, its node-degree bag."""
+    `cap` nodes. For each group size j, `rows[j]` holds j ids per (hyperedge,
+    j-subset) incidence, flat, so a group's degree is its row count and a
+    uniform row draw is a degree-proportional group draw. A hyperedge that
+    needs more than `cap` partners draws them one at a time from `rows[1]`,
+    the node-degree bag."""
+    if cap < 1:
+        raise ValidationError("group-size cap must be >= 1")
+    top = 2 * (params.max_size // 2) + params.n - 1  # the largest id: the last arrival
+    if top > 2**32 - 1:
+        raise ValidationError(f"node id {top} does not fit the uint32 group rows")
     rng = random.Random(seed)
     cap = min(cap, max(params.max_size - 1, 1))  # no larger group is ever drawn
-    index = GroupDegreeIndex(cap)
-    nodes = index._rows[1]  # one id per (hyperedge, member): the node-degree bag
+    rows = {j: array("I") for j in range(1, cap + 1)}
+    nodes = rows[1]
     fallback = capped = 0
+
+    def absorb(members: tuple[int, ...]) -> None:
+        nodes.extend(members)
+        if cap > 1:  # at cap 1, setting up the range costs more than the extend
+            for j in range(2, min(len(members), cap) + 1):
+                rows[j].extend(chain.from_iterable(combinations(members, j)))
 
     def choose(node: int, s: int) -> tuple[int, ...]:
         nonlocal fallback, capped
@@ -255,14 +222,15 @@ def _attach(params: GenParams, seed: int, cap: int) -> tuple[Hypergraph, RunStat
             while len(chosen) < g_size:
                 chosen.add(nodes[rng.randrange(len(nodes))])
             group = tuple(chosen)
-        elif index.count(g_size) == 0:
+        elif not rows[g_size]:
             fallback += 1
             group = tuple(rng.sample(range(node), g_size))
         else:
-            group = index.sample(g_size, rng)
+            start = rng.randrange(len(rows[g_size]) // g_size) * g_size
+            group = tuple(rows[g_size][start : start + g_size])
         return tuple(sorted(group + (node,)))
 
-    H = _grow(params, rng, 2, params.max_size // 2, choose, index.add_hyperedge)
+    H = _grow(params, rng, 2, params.max_size // 2, choose, absorb)
     return H, RunStats(fallback_draws=fallback, capped_draws=capped)
 
 
@@ -276,7 +244,7 @@ def hyperpa_detailed(
     probability proportional to its degree. When no group of the needed
     size exists yet the members are picked uniformly at random; when s-1
     exceeds the tracked group-size cap they are picked as independent
-    degree-proportional nodes. The index only absorbs a node's hyperedges
+    degree-proportional nodes. A node's hyperedges join the groups only
     after all of them are drawn.
     """
     return _attach(params, seed, subset_cap)
@@ -393,7 +361,8 @@ def subset_sampling(
 def null_model(H: Hypergraph, seed: int = 0) -> Hypergraph:
     """Replace every hyperedge by a uniform random subset of the same size."""
     rng = random.Random(seed)
-    members = pack_rows([sorted(rng.sample(range(H.n), s)) for s in np.diff(H.offsets).tolist()])[1]
+    draws = (sorted(rng.sample(range(H.n), s)) for s in np.diff(H.offsets).tolist())
+    members = np.fromiter(chain.from_iterable(draws), np.int64, len(H.members))
     return Hypergraph(n=H.n, offsets=H.offsets, members=members, timestamps=H.timestamps)
 
 

@@ -20,7 +20,6 @@ from .core import (
     FlatRows,
     Hypergraph,
     KSubset,
-    ValidationError,
     WeightedDecomposedGraph,
     canonicalize,
     first_appearance,

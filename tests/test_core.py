@@ -18,14 +18,15 @@ from hyperdecomp import (
     decompose_weighted,
     dedup,
 )
-from hyperdecomp.core import pack_rows, rank_rows
+from hyperdecomp.core import rank_rows
 
 from conftest import adjacency_csr
 
 
 def hypergraph(rows, n, timestamps=None):
     """A Hypergraph built from rows as given, with no canonicalizing."""
-    offsets, members = pack_rows(rows)
+    offsets = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    members = np.array([v for row in rows for v in row], dtype=np.int64)
     stamps = None if timestamps is None else np.array(timestamps, dtype=np.int64)
     return Hypergraph(n, offsets, members, stamps)
 

@@ -4,9 +4,8 @@ import hashlib
 import json
 import random
 import tracemalloc
-from array import array
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 from hyperdecomp import (
     DecomposeConfig,
     GenParams,
-    GroupDegreeIndex,
     SamplingRule,
     ValidationError,
     canonicalize,
@@ -131,53 +129,37 @@ def test_learn_params_preconditions():
 
 
 # --- group-degree index ----------------------------------------------------
-
-
-def test_index_degree_recount_matches_stored_hyperedges():
-    rng = random.Random(0)
-    index = GroupDegreeIndex(cap=3)
-    stored = []
-    for _ in range(40):
-        size = rng.randint(1, 6)
-        members = tuple(sorted(rng.sample(range(30), size)))
-        stored.append(members)
-        index.add_hyperedge(members)
-    for j in (1, 2, 3):
-        want = Counter()
-        for e in stored:
-            for sub in combinations(e, j):
-                want[sub] += 1
-        assert index.degrees(j) == want
-        assert index.count(j) == sum(want.values())
-
-
-def test_index_sampling_is_degree_proportional():
-    index = GroupDegreeIndex(cap=1)
-    for _ in range(3):
-        index.add_hyperedge((0,))
-    index.add_hyperedge((1,))
-    rng = random.Random(1)
-    draws = Counter(index.sample(1, rng) for _ in range(8000))
-    assert draws[(0,)] / 8000 == pytest.approx(0.75, abs=0.03)
+# Its recount and its degree-proportional draws are checked against plain
+# lists of groups by test_attachment_engine_matches_the_reference_choosers.
 
 
 def test_index_errors():
-    with pytest.raises(ValidationError):
-        GroupDegreeIndex(cap=0)
-    index = GroupDegreeIndex(cap=2)
-    with pytest.raises(ValidationError):
-        index.sample(2, random.Random(0))
+    with pytest.raises(ValidationError, match="cap"):
+        hyperpa_detailed(PARAMS, subset_cap=0)
 
 
-def test_index_rejects_ids_beyond_uint32_rows():
-    top = 2**32 - 1
-    index = GroupDegreeIndex(cap=2)
-    index.add_hyperedge((0, top))
-    assert index.sample(2, random.Random(0)) == (0, top)
-    for members in ((0, top + 1), (np.int64(0), np.int64(top + 1))):
+class _ReachedTheDraws(Exception):
+    pass
+
+
+def test_index_rejects_ids_beyond_uint32_rows(monkeypatch):
+    # The group rows are uint32, so a run whose last arrival would not fit is
+    # refused before `_grow` draws anything. `_grow` is stubbed out, so a run
+    # that is not refused stops at once instead of drawing billions of nodes.
+    def reached(*args):
+        raise _ReachedTheDraws
+
+    monkeypatch.setattr(gen_mod, "_grow", reached)
+    huge = GenParams(n=2**32, sizes={2: 0.5, 3: 0.5}, new_edges={1: 1.0})
+    for run in (hyperpa_detailed, naivepa):
         with pytest.raises(ValidationError, match="uint32"):
-            index.add_hyperedge(members)
-    assert index.count(1) == 2 and index.count(2) == 1
+            run(huge, seed=0)
+    # Two seed pairs take ids 0-3, so n = 2**32 - 4 puts the last id at 2**32 - 1.
+    sizes, new_edges = {2: 0.5, 4: 0.5}, {1: 1.0}
+    with pytest.raises(_ReachedTheDraws):
+        hyperpa_detailed(GenParams(n=2**32 - 4, sizes=sizes, new_edges=new_edges), seed=0)
+    with pytest.raises(ValidationError, match="uint32"):
+        hyperpa_detailed(GenParams(n=2**32 - 3, sizes=sizes, new_edges=new_edges), seed=0)
 
 
 # --- attachment generators -------------------------------------------------
@@ -235,49 +217,49 @@ def test_hyperpa_capped_branch_counts_separately():
 
 
 def test_hyperpa_index_updates_batched_per_node(monkeypatch):
-    """All of a node's hyperedges are drawn before any enters the index."""
-    events = []
+    """For each growth model the seeds are absorbed first; then all of a
+    node's hyperedges are drawn before any is absorbed, so none draws from a
+    sibling. Spies on `_grow`'s `choose` and `absorb`."""
+    seeds, events = [], []  # ("choose", node, s) and ("absorb", members), in call order
+    grow = gen_mod._grow
 
-    class NodeRows(array):
-        """The size-1 rows, which unit draws index without `sample`."""
+    def spying_grow(params, rng, seed_size, seed_count, choose, absorb):
+        seeds.extend(tuple(range(t * seed_size, (t + 1) * seed_size)) for t in range(seed_count))
 
-        def __getitem__(self, i):
-            events.append(("sample", 1))
-            return super().__getitem__(i)
+        def spy_choose(node, s):
+            events.append(("choose", node, s))
+            return choose(node, s)
 
-    class Recording(GroupDegreeIndex):
-        def __init__(self, cap):
-            super().__init__(cap)
-            self._rows[1] = NodeRows("I")
+        def spy_absorb(members):
+            events.append(("absorb", members))
+            return absorb(members)
 
-        def add_hyperedge(self, members):
-            events.append(("add", tuple(members)))
-            super().add_hyperedge(members)
+        return grow(params, rng, seed_size, seed_count, spy_choose, spy_absorb)
 
-        def sample(self, size, rng):
-            events.append(("sample", size))
-            return super().sample(size, rng)
-
-    monkeypatch.setattr(gen_mod, "GroupDegreeIndex", Recording)
-    params = GenParams(n=30, sizes={2: 0.6, 3: 0.4}, new_edges={2: 1.0})
-    hyperpa(params, seed=1)
-    # Within each arriving node the trace must be samples first, adds after;
-    # the seed edges produce leading adds. Both group sizes are drawn.
-    assert {size for kind, size in events if kind == "sample"} == {1, 2}
-    trace = [kind for kind, _ in events]
-    pos = 0
-    while pos < len(trace) and trace[pos] == "add":
-        pos += 1
-    while pos < len(trace):
-        start = pos
-        while pos < len(trace) and trace[pos] == "sample":
-            pos += 1
-        assert pos > start  # two hyperedges per node means two samples
-        adds = 0
-        while pos < len(trace) and trace[pos] == "add":
-            adds += 1
-            pos += 1
-        assert adds == 2
+    monkeypatch.setattr(gen_mod, "_grow", spying_grow)
+    params = GenParams(n=30, sizes={2: 0.6, 3: 0.4}, new_edges={1: 0.5, 2: 0.5})
+    runs = {
+        "hyperpa": lambda: hyperpa_detailed(params, seed=1),
+        "naivepa": lambda: (naivepa(params, seed=1), None),
+        "subset_sampling": lambda: (subset_sampling(params, seed=1), None),
+    }
+    for model, run in runs.items():
+        seeds.clear()
+        events.clear()
+        H, stats = run()
+        assert events[: len(seeds)] == [("absorb", e) for e in seeds], model
+        assert [e[1] for e in events if e[0] == "absorb"] == H.member_tuples(), model
+        # An arriving node tops its hyperedges, so each absorb names its node.
+        trace = [(e[0], e[1] if e[0] == "choose" else max(e[1])) for e in events[len(seeds) :]]
+        blocks = [(kind, node, len(list(g))) for (kind, node), g in groupby(trace)]
+        assert [kind for kind, _, _ in blocks] == ["choose", "absorb"] * (len(blocks) // 2), model
+        drawn, absorbed = blocks[::2], blocks[1::2]
+        assert [b[1:] for b in drawn] == [b[1:] for b in absorbed], model
+        nodes = [node for _, node, _ in drawn]
+        assert nodes == sorted(set(nodes)) and len(nodes) > 10, model
+        if model == "hyperpa":  # the seed pairs hold groups of both sizes: no fallback
+            assert {e[2] - 1 for e in events if e[0] == "choose"} == {1, 2}
+            assert (stats.fallback_draws, stats.capped_draws) == (0, 0)
 
 
 def test_hyperpa_requires_size_two():
@@ -535,6 +517,21 @@ def test_null_model_preserves_sizes_nodes_and_timestamps():
     for e in N.edges:
         assert all(0 <= v < H.n for v in e.members)
     assert null_model(H, seed=0).member_tuples() == N.member_tuples()
+
+
+def test_null_model_traced_peak_stays_small_per_member():
+    # Streamed into one int64 array, the draws hold about 16 bytes per member.
+    rng = random.Random(0)
+    sizes = [rng.randint(1, 6) for _ in range(9000)]
+    H = canonicalize([rng.sample(range(5000), s) for s in sizes], timestamps=range(len(sizes)))
+    assert len(H.members) >= 25_000
+    tracemalloc.start()
+    try:
+        null_model(H, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * len(H.members), peak / len(H.members)
 
 
 # --- evaluation ------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The package's public names, the parameters of its public functions, the
-fields of its public dataclasses and NamedTuples, and the third-party
-modules its source imports.
+fields of its public dataclasses and NamedTuples, the third-party modules
+its source imports, and that every name it imports is used.
 
 Adding an exported name, a function option or a constructor field, or
 dropping one, has to edit these pins.
@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "FitResult",
     "FormatError",
     "GenParams",
-    "GroupDegreeIndex",
     "Hyperedge",
     "Hypergraph",
     "KSubset",
@@ -174,3 +173,22 @@ def test_runtime_dependencies_are_the_third_party_imports():
     pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in pyproject["project"]["dependencies"]}
     assert third_party == declared == {"numpy", "scipy"}
+
+
+def test_every_imported_name_is_used():
+    package = Path(hyperdecomp.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
