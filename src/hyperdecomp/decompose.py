@@ -29,10 +29,6 @@ NODE_LEVEL_CAP = 25
 HIGHER_LEVEL_CAP = 7
 
 
-def default_max_edge_size(level: int) -> int:
-    return NODE_LEVEL_CAP if level == 1 else HIGHER_LEVEL_CAP
-
-
 @dataclass(frozen=True)
 class DecomposeConfig:
     """Level plus the hyperedge-size cap applied while decomposing."""
@@ -52,7 +48,7 @@ class DecomposeConfig:
     @classmethod
     def for_level(cls, level: int, max_edge_size: int | None = None) -> "DecomposeConfig":
         if max_edge_size is None:
-            max_edge_size = default_max_edge_size(level)
+            max_edge_size = NODE_LEVEL_CAP if level == 1 else HIGHER_LEVEL_CAP
         return cls(level=level, max_edge_size=max_edge_size)
 
 
@@ -78,6 +74,15 @@ def _pair_keys(ids: np.ndarray, shapes: list[tuple[int, int]], n: int) -> np.nda
     return keys
 
 
+def _subsets(tables: list[np.ndarray], k: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The k-subsets of every row of each (m, c) table, c >= k, stacked in
+    row order into one (rows, k) table, and each table's (m, C(c, k))."""
+    blocks = [rows[:, list(combinations(range(rows.shape[1]), k))] for rows in tables]
+    shapes = [block.shape[:2] for block in blocks]
+    flat = [b.reshape(-1, k) for b in blocks] or [np.empty((0, k), np.int64)]
+    return np.concatenate(flat), shapes
+
+
 def _collect(
     H: Hypergraph, k: int, cap: int | None, with_counts: bool
 ) -> tuple[DecomposedGraph, np.ndarray | None]:
@@ -87,14 +92,7 @@ def _collect(
     gives its k-subsets through one index pattern. Subsets and pair keys
     are then deduplicated by sorting, so rows come out lexicographic.
     """
-    blocks = [
-        rows[:, list(combinations(range(rows.shape[1]), k))]
-        for _, rows in H.size_blocks(k, cap)
-    ]
-    shapes = [block.shape[:2] for block in blocks]
-    flat = np.concatenate([b.reshape(-1, k) for b in blocks] or [np.empty((0, k), np.int64)])
-    del blocks
-
+    flat, shapes = _subsets([rows for _, rows in H.size_blocks(k, cap)], k)
     nodes, ids = rank_rows(flat)[:2]  # an id is the subset's lexicographic rank
     del flat
     n = len(nodes)

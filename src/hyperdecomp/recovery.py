@@ -1,21 +1,22 @@
 """Lossless reconstruction of a hypergraph from its weighted decompositions.
 
-Works top-down over hyperedge sizes. At level k = size - 1 the residual is
-the given weights minus `decompose_weighted` of the recovered larger
-hyperedges. Each positive-residual edge joins two k-subsets whose union is
-a size-(k+1) hyperedge, and the residual is that hyperedge's multiplicity.
-Size-1 hyperedges come from the level-1 self-loop counts. Output is by size
-descending, lexicographic within a size, then singletons by node.
+Works top-down over hyperedge sizes. At level k = size - 1 each distinct larger
+hyperedge found so far is subtracted once, in place: its multiplicity comes off
+each edge between two of its k-subsets, which must all be nodes. A positive
+remainder joins two k-subsets whose union is a size-(k+1) hyperedge of that
+multiplicity. Size-1 hyperedges come from the level-1 self-loop counts. Output
+is by size descending, lexicographic within a size, then singletons by node.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Mapping
 
 import numpy as np
 
 from .core import Hypergraph, KSubset, ValidationError, WeightedDecomposedGraph, rank_rows
-from .decompose import decompose_weighted
+from .decompose import _pair_keys, _subsets
 from .metrics import DENSE_FALLBACK_MAX_BYTES
 
 __all__ = ["RecoveryError", "recover"]
@@ -29,8 +30,8 @@ class RecoveryError(ValueError):
         self.level = level
 
 
-def _edge(G: WeightedDecomposedGraph, row: int) -> tuple[KSubset, KSubset]:
-    return tuple(map(tuple, G.base.nodes[G.base.edge_array[row]].tolist()))
+def _edge(G: WeightedDecomposedGraph, ends: np.ndarray) -> tuple[KSubset, KSubset]:
+    return tuple(map(tuple, G.base.nodes[ends].tolist()))
 
 
 def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -42,25 +43,32 @@ def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _subtract(G: WeightedDecomposedGraph, S: WeightedDecomposedGraph) -> np.ndarray:
-    """G's weights minus those of S, a decomposition at the same level."""
-    N, ends = G.base.num_nodes, G.base.edge_array
-    # Rows of both graphs are sorted, so `keys` is and the node map keeps u < v.
-    keys = ends[:, 0] * N + ends[:, 1]
-    pos = _find_rows(G.base.nodes, S.base.nodes)
-    u, v = pos[S.base.edge_array[:, 0]], pos[S.base.edge_array[:, 1]]
-    at = np.searchsorted(keys, u * N + v)
-    # Edges G lacks point at one extra slot of weight 0, which then underflows.
-    at[(u < 0) | (v < 0) | (np.append(keys, -1)[at] != u * N + v)] = len(keys)
+def _subtract(
+    G: WeightedDecomposedGraph, larger: list[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """G's weights less, on each edge, the multiplicities of the hyperedges holding both
+    ends. `larger` has (sorted distinct rows, multiplicities) of one or more sizes > k."""
+    N, k = G.base.num_nodes, G.level
+    flat, shapes = _subsets([rows for rows, _ in larger], k)
+    ids = _find_rows(G.base.nodes, flat)
+    if np.any(ids < 0):
+        subset = tuple(flat[np.argmax(ids < 0)].tolist())
+        raise RecoveryError(k, f"subset {subset} of a larger hyperedge is not a node")
+    # Nodes are sorted, so ids increase along a hyperedge's subsets, as _pair_keys needs.
+    pairs = _pair_keys(ids, shapes, N)
+    need = np.concatenate([np.repeat(w, comb(c, 2)) for (_, w), (_, c) in zip(larger, shapes)])
+    keys = G.base.edge_array[:, 0] * N + G.base.edge_array[:, 1]
+    at = np.searchsorted(keys, pairs)
+    # Pairs G lacks point at one extra slot of weight 0, which then underflows.
+    absent = np.append(keys, -1)[at] != pairs
+    at[absent] = len(keys)
     left = np.append(G.weights, 0)
-    left[at] -= S.weights
-    bad = np.flatnonzero(left[at] < 0)
-    if bad.size:
-        i, row = int(bad[0]), int(at[bad[0]])
-        held, need = (int(G.weights[row]) if row < len(keys) else 0), int(S.weights[i])
-        raise RecoveryError(
-            G.level, f"edge {_edge(S, i)} has weight {held}; larger hyperedges need {need}"
-        )
+    np.subtract.at(left, at, need)
+    bad = np.append(keys[left[:-1] < 0], pairs[absent])
+    if bad.size:  # name the lexicographically first, as the sorted keys order them
+        edge, hit = _edge(G, list(divmod(int(bad.min()), N))), pairs == bad.min()
+        held, needed = int(np.append(G.weights, 0)[at[hit][0]]), int(need[hit].sum())
+        raise RecoveryError(k, f"edge {edge} has weight {held}; larger hyperedges need {needed}")
     return left[:-1]
 
 
@@ -73,7 +81,7 @@ def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[np.ndarray, np
     fresh[:, 1:] = both[:, 1:] != both[:, :-1]
     wrong = np.flatnonzero(fresh.sum(axis=1) != size)
     if wrong.size:
-        edge, got = _edge(G, int(rows[wrong[0]])), int(fresh[wrong[0]].sum())
+        edge, got = _edge(G, G.base.edge_array[rows[wrong[0]]]), int(fresh[wrong[0]].sum())
         raise RecoveryError(G.level, f"residual edge {edge} spans {got} nodes, not {size}")
     # Rows are sorted, so each union is first met at its smallest pair. All
     # size*(size-1)/2 edges of its clique must carry its multiplicity.
@@ -84,18 +92,11 @@ def _peel(G: WeightedDecomposedGraph, resid: np.ndarray) -> tuple[np.ndarray, np
     bad = np.flatnonzero(short | (off > 0))
     if bad.size:
         j = int(bad[0])
-        edge, union = _edge(G, int(rows[first[j]])), tuple(unions[j].tolist())
+        edge, union = _edge(G, G.base.edge_array[rows[first[j]]]), tuple(unions[j].tolist())
         raise RecoveryError(
             G.level, f"edge {edge} implies {union} x{mults[j]}; its clique disagrees"
         )
     return unions, mults
-
-
-def _expand(n: int, blocks: list[np.ndarray]) -> Hypergraph:
-    """The hypergraph whose hyperedges are the rows of `blocks`, in order."""
-    sizes = np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks])
-    members = np.concatenate([b.ravel() for b in blocks] + [np.empty(0, np.int64)])
-    return Hypergraph(n, np.append(0, np.cumsum(sizes, dtype=np.int64)), members)
 
 
 def recover(graphs: Mapping[int, WeightedDecomposedGraph]) -> Hypergraph:
@@ -127,13 +128,13 @@ def recover(graphs: Mapping[int, WeightedDecomposedGraph]) -> Hypergraph:
         raise ValidationError("decompositions contain no nodes")
     n = max_id + 1
 
-    # One block per size, each found hyperedge repeated by its multiplicity.
-    blocks: list[np.ndarray] = []
-    needed = 0  # bytes of the members of all blocks so far
+    # Each size's distinct hyperedges peeled so far, with their multiplicities.
+    peeled: list[tuple[np.ndarray, np.ndarray]] = []
+    needed = 0  # bytes of the members of all hyperedges so far
     for size in range(max_size, 0, -1):
         if size > 1:
-            larger = decompose_weighted(_expand(n, blocks), size - 1)
-            found, mults = _peel(graphs[size - 1], _subtract(graphs[size - 1], larger))
+            G = graphs[size - 1]
+            found, mults = _peel(G, _subtract(G, peeled) if peeled else G.weights)
         else:
             at = sorted(graphs[1].self_loops)
             found = graphs[1].base.nodes[at]
@@ -156,5 +157,9 @@ def recover(graphs: Mapping[int, WeightedDecomposedGraph]) -> Hypergraph:
                 f"the recovered hyperedges need {needed} bytes, "
                 f"above the {DENSE_FALLBACK_MAX_BYTES}-byte limit",
             )
-        blocks.append(np.repeat(found, mults, axis=0))
-    return _expand(n, blocks)
+        if len(found):  # _pair_keys cannot shape a size with no hyperedge
+            peeled.append((found, mults))
+    blocks = [np.repeat(rows, m, axis=0) for rows, m in peeled]
+    sizes = np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks])
+    members = np.concatenate([b.ravel() for b in blocks] + [np.empty(0, np.int64)])
+    return Hypergraph(n, np.append(0, np.cumsum(sizes, dtype=np.int64)), members)

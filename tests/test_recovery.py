@@ -1,6 +1,8 @@
 """Lossless reconstruction from weighted decompositions."""
 
+import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -238,6 +240,37 @@ def test_recovered_size_is_bounded_before_expansion(monkeypatch):
     assert exc.value.level == 2
 
 
+def traced_peak(graphs):
+    tracemalloc.start()
+    try:
+        recover(graphs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recovery_memory_does_not_grow_with_multiplicity():
+    # One 10-node hyperedge 400 times, its levels scaled from one copy's so
+    # the setup stays small. Repeating rows would cost about 0.3 MB a copy.
+    H = canonicalize([list(range(10))])
+    graphs = {}
+    for k in range(1, 10):
+        G = decompose_weighted(H, k)
+        graphs[k] = WeightedDecomposedGraph(base=G.base, weights=G.weights * 400)
+    assert traced_peak(graphs) < 8 * 2**20
+
+
+def test_recovery_memory_stays_below_the_levels_it_holds():
+    rng = np.random.default_rng(0)
+    H = canonicalize(
+        [rng.choice(3000, size=s, replace=False).tolist() for s in rng.integers(1, 10, 100)]
+    )
+    graphs = stack(H)
+    held = sum(G.base.nodes.nbytes + G.base.edge_array.nbytes + G.weights.nbytes
+               for G in graphs.values())
+    assert traced_peak(graphs) < 0.85 * held
+
+
 def test_recovered_edges_have_no_timestamps():
     H = canonicalize([[0, 1], [2]], n=3, timestamps=[5, 6])
     R = recover(stack(H))
@@ -328,17 +361,22 @@ def test_perturbed_input_raises_or_recovers_an_exact_preimage(seed, kind, delta,
         assert D.self_loops == G.self_loops
 
 
-def subtract_by_dict(G, S):
-    """G's weights minus S's through dicts over subsets and edges, as
-    recovery once mapped them; None where S needs more than G holds."""
+def subtract_by_dict(G, mult):
+    """G's weights less decompose_weighted of each hyperedge of `mult`
+    repeated by its multiplicity, through dicts over subsets and edges, as
+    recovery once mapped them; or, where G holds less than that needs, the
+    message naming the first such edge."""
+    repeated = [m for m, c in mult.items() for _ in range(c)]
+    S = decompose_weighted(canonicalize(repeated), G.level)
     index = {s: i for i, s in enumerate(map(tuple, G.base.nodes.tolist()))}
     row = {pair: r for r, pair in enumerate(map(tuple, G.base.edge_array.tolist()))}
     s_nodes = [tuple(s) for s in S.base.nodes.tolist()]
     left = G.weights.copy()
     for (u, v), w in zip(S.base.edge_array.tolist(), S.weights.tolist()):
         r = row.get((index.get(s_nodes[u]), index.get(s_nodes[v])))
-        if r is None or left[r] < w:
-            return None
+        held = 0 if r is None else int(left[r])
+        if held < w:
+            return f"edge {(s_nodes[u], s_nodes[v])} has weight {held}; larger hyperedges need {w}"
         left[r] -= w
     return left
 
@@ -346,16 +384,25 @@ def subtract_by_dict(G, S):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
 def test_subtract_matches_a_dict_over_subsets(seed, k):
-    # S decomposes some of H's hyperedges plus a few others, so some of its
-    # subsets, on edges or not, can be missing from G.
+    # The larger hyperedges are some of H's plus a few others, so some of
+    # their subsets, on edges or not, can be missing from G.
     rng = np.random.default_rng(seed)
     H = random_hypergraph(rng, max_nodes=10, max_edge_size=5, max_edges=12)
     other = random_hypergraph(rng, max_nodes=14, max_edge_size=4, max_edges=3)
     members = [m for m in H.member_tuples() if rng.random() < 0.6] + other.member_tuples()
-    G, S = decompose_weighted(H, k), decompose_weighted(canonicalize(members), k)
-    want = subtract_by_dict(G, S)
-    if want is None:
-        with pytest.raises(RecoveryError):
-            _subtract(G, S)
+    mult = {m: int(rng.integers(1, 4)) for m in members if len(m) > k}
+    by_size = [sorted(m for m in mult if len(m) == s) for s in sorted(set(map(len, mult)))]
+    larger = [(np.array(rows), np.array([mult[m] for m in rows])) for rows in by_size]
+    G = decompose_weighted(H, k)
+    want = subtract_by_dict(G, mult)
+    if not isinstance(want, str):
+        assert np.array_equal(_subtract(G, larger) if larger else G.weights, want)
+        return
+    with pytest.raises(RecoveryError) as exc:
+        _subtract(G, larger)
+    assert exc.value.level == k
+    subsets = {s for m in mult for s in combinations(m, k)}
+    if subsets <= set(map(tuple, G.base.nodes.tolist())):
+        assert str(exc.value) == f"level {k}: {want}"
     else:
-        assert np.array_equal(_subtract(G, S), want)
+        assert "of a larger hyperedge is not a node" in str(exc.value)
